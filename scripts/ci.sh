@@ -124,6 +124,30 @@ assert all(c['pool_misses_after_warmup'] == 0 for c in d['configs']), d" \
       bench/BENCH_train.json
     echo "train baseline: OK (bench/BENCH_train.json holds the 2x bar on every config)"
 
+    # OT glue smoke: the fused masked cost + gradient bench must run at 1 and
+    # nproc threads and the fused training step must stay bitwise equal to
+    # the pre-GEMM reference in every config (quick mode; the committed
+    # full-mode baseline is bench/BENCH_ot.json).
+    ./build/bench/ot_glue --quick --bench-json="$SMOKE/bench_ot.json" \
+      >/dev/null
+    python3 -c "import json,sys; d=json.load(open(sys.argv[1])); \
+assert d['schema']=='scis-bench-ot-v1' and d['configs'] and d['nproc'] >= 1, d; \
+assert all(c['bit_identical'] for c in d['configs']), d" \
+      "$SMOKE/bench_ot.json"
+    echo "ot glue bench smoke: OK ($(python3 -c "import json,sys; \
+print(len(json.load(open(sys.argv[1]))['configs']))" "$SMOKE/bench_ot.json") configs, fused == reference)"
+
+    # Committed OT glue baseline sanity: the checked-in full-mode run must
+    # parse and hold the acceptance bar (fused masked cost + gradient >= 3x
+    # the pre-GEMM glue at d = 64 on 1 thread, bit-identical everywhere).
+    python3 -c "import json,sys; d=json.load(open(sys.argv[1])); \
+assert d['schema']=='scis-bench-ot-v1' and d['mode']=='full', d; \
+assert all(c['bit_identical'] for c in d['configs']), d; \
+c=[c for c in d['configs'] if c['d']==64 and c['threads']==1][0]; \
+assert c['glue_speedup'] >= 3.0, c" \
+      bench/BENCH_ot.json
+    echo "ot glue baseline: OK (bench/BENCH_ot.json holds the 3x bar at d = 64)"
+
     # Serve perf smoke: the connections x shards TCP sweep must complete,
     # every cell must be bit-identical to the offline engine, and the json
     # must parse (quick mode; the committed full-mode baseline is

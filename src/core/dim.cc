@@ -128,7 +128,11 @@ Status DimTrainer::Train(GenerativeImputer& model, const Dataset& data) {
         double div_value;
         {
           SCIS_TRACE_SPAN("dim.forward");
-          Var xbar = model.ReconstructOnTape(tape, x, m, /*train=*/true);
+          Var xbar;
+          {
+            SCIS_TRACE_SPAN("dim.gen_forward");
+            xbar = model.ReconstructOnTape(tape, x, m, /*train=*/true);
+          }
           if (opts_.use_critic) {
             Var masked_fake = Mul(xbar, tape.ConstantRef(&m));
             Var emb_fake = critic_->Forward(tape, masked_fake);
@@ -136,6 +140,7 @@ Status DimTrainer::Train(GenerativeImputer& model, const Dataset& data) {
             loss = SinkhornLossBoth(emb_fake, emb_real, sopts);
             div_value = loss.value()(0, 0);
           } else {
+            SCIS_TRACE_SPAN("dim.ms_loss");
             loss = MsLossFast(xbar, x, m, sopts);
             div_value = loss.value()(0, 0);
           }
@@ -185,8 +190,7 @@ double DimTrainer::EvalLoss(GenerativeImputer& model, const Matrix& x,
   sopts.rank = opts_.sinkhorn_rank;
   Tape& tape = eval_tape_;
   Var xbar = model.ReconstructOnTape(tape, x, m, /*train=*/false);
-  Var loss = MsLoss(xbar, x, m, sopts);
-  const double v = loss.value()(0, 0);
+  const double v = MsLossValue(xbar.value(), x, m, sopts);
   model.generator_params().DropBindings();
   tape.Clear();
   return v;

@@ -65,8 +65,10 @@ class DimTrainer {
   const DimStats& stats() const { return stats_; }
   const DimOptions& options() const { return opts_; }
 
-  // Evaluates the MS-divergence loss of `model` on a batch (no training) —
-  // used by SSE's curvature probe and by tests.
+  // Evaluates the MS-divergence loss of `model` on a batch (no training,
+  // value only) — used by testkit's central-difference gradient oracle and
+  // by tests. (SSE's curvature probe does not call it: it backpropagates
+  // Rademacher probes through the reconstruction, see core/sse.cc.)
   double EvalLoss(GenerativeImputer& model, const Matrix& x,
                   const Matrix& m);
 

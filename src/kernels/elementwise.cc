@@ -1,10 +1,11 @@
 #include "kernels/elementwise.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "kernels/act.h"
+#include "kernels/arena.h"
 #include "kernels/dispatch.h"
-
 #include "kernels/exp.h"
 #include "kernels/lane_reduce.h"
 
@@ -79,6 +80,11 @@ void SigmoidArray(const double* __restrict in, double* __restrict out,
   // The scalar form lives in kernels/act.h so the fused linear kernel
   // evaluates the exact same expressions.
   for (size_t i = 0; i < n; ++i) out[i] = SigmoidD(in[i]);
+}
+
+SCIS_KERNEL_CLONES
+void SigmoidInPlace(double* __restrict v, size_t n) {
+  for (size_t i = 0; i < n; ++i) v[i] = SigmoidD(v[i]);
 }
 
 SCIS_KERNEL_CLONES
@@ -167,6 +173,42 @@ void MaskedGradFinish(const double* __restrict m, const double* __restrict a,
                       double prow, double* __restrict g, size_t n) {
   for (size_t k = 0; k < n; ++k) {
     g[k] = 2.0 * m[k] * (prow * m[k] * a[k] + g[k]);
+  }
+}
+
+SCIS_KERNEL_CLONES
+void SquaredDistanceRow(double a2, const double* __restrict b2,
+                        double* __restrict c, size_t n) {
+  for (size_t j = 0; j < n; ++j) c[j] = std::max(a2 + b2[j] - 2.0 * c[j], 0.0);
+}
+
+SCIS_KERNEL_CLONES
+void MaskedGradEnvelope(const double* __restrict m, const double* __restrict p,
+                        double prow, double* __restrict g, size_t n) {
+  for (size_t k = 0; k < n; ++k) {
+    g[k] = 2.0 * m[k] * (prow * p[k] + (0.0 - g[k]));
+  }
+}
+
+SCIS_KERNEL_CLONES
+void ColumnSums(const double* __restrict a, size_t rows, size_t cols,
+                size_t j0, size_t j1, double* __restrict out) {
+  // Sum's main loop feeds lane l with v[i + l] and its tail feeds lanes
+  // 0..r-1 from a kLanes-aligned start, so element i always lands in lane
+  // i mod kLanes, added in ascending i. Here the lanes are columns wide.
+  const size_t w = j1 - j0;
+  ScopedScratch scratch(kLanes * w);
+  double* __restrict lanes = scratch.data();
+  for (size_t c = 0; c < kLanes * w; ++c) lanes[c] = 0.0;
+  for (size_t i = 0; i < rows; ++i) {
+    double* __restrict acc = lanes + (i % kLanes) * w;
+    const double* __restrict row = a + i * cols + j0;
+    for (size_t c = 0; c < w; ++c) acc[c] += row[c];
+  }
+  for (size_t c = 0; c < w; ++c) {
+    double acc[kLanes];
+    for (size_t l = 0; l < kLanes; ++l) acc[l] = lanes[l * w + c];
+    out[c] = LaneSum(acc);
   }
 }
 

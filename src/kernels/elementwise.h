@@ -52,6 +52,10 @@ void ExpArray(const double* in, double* out, size_t n);
 // form (1/(1+e^-x) for x ≥ 0, e^x/(1+e^x) otherwise) but branch-free.
 void SigmoidArray(const double* in, double* out, size_t n);
 
+// v[i] = sigmoid(v[i]): SigmoidArray for a buffer that is both input and
+// output (the fused linear kernels' epilogue).
+void SigmoidInPlace(double* v, size_t n);
+
 // Σ w[i]·(p[i] − y[i])²  — the fused weighted-SSE forward pass.
 double WeightedSse(const double* w, const double* p, const double* y,
                    size_t n);
@@ -64,6 +68,23 @@ void WeightedDiff(const double* w, const double* p, const double* y, double s,
 // OT gradient (ot/masked_cost.cc), fused so the row is finished in one pass.
 void MaskedGradFinish(const double* m, const double* a, double prow, double* g,
                       size_t n);
+
+// c[j] = max(a2 + b2[j] − 2·c[j], 0): the squared-distance epilogue over
+// one row of dot products c (PairwiseSquaredDistances, the masked costs).
+void SquaredDistanceRow(double a2, const double* b2, double* c, size_t n);
+
+// g[k] = 2·m[k]·(prow·p[k] + (0 − g[k])), where g holds one row of the
+// plan product P·B on entry and p = m ⊙ a is the row's mask projection —
+// the closing step of the GEMM form of the same gradient. `0 − g` (not −g)
+// keeps the signed zeros of MaskedGradFinish's `+0 − Σ P·B` accumulation.
+void MaskedGradEnvelope(const double* m, const double* p, double prow,
+                        double* g, size_t n);
+
+// out[c] = Σ_i a(i, j0 + c) for c < j1 − j0, over all rows of the row-major
+// a (rows × cols), with Sum's lane association per column (row i feeds lane
+// i mod kLanes): column sums bit-identical to Sum over a transposed copy.
+void ColumnSums(const double* a, size_t rows, size_t cols, size_t j0,
+                size_t j1, double* out);
 
 // Optimizer inner loops (nn/optimizer.cc), fused to one pass per parameter
 // tensor. Bit-identical to the historic matrix-at-a-time updates; the

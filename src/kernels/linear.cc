@@ -2,20 +2,23 @@
 
 #include <cmath>
 
-#include "kernels/act.h"
+#include "kernels/arena.h"
 #include "kernels/dispatch.h"
+#include "kernels/elementwise.h"
 #include "kernels/matmul.h"
 
 namespace scis::kernels {
 
 namespace {
 
+// Sigmoid is absent: the kernels store acc + bias for it and then run the
+// vectorized SigmoidInPlace over the finished rows (the scalar SigmoidD
+// inside the tile store would keep the store loop from vectorizing).
 inline double ApplyAct(Act act, double z) {
   switch (act) {
     case Act::kIdentity:
-      return z;
     case Act::kSigmoid:
-      return SigmoidD(z);
+      return z;
     case Act::kRelu:
       return z > 0 ? z : 0.0;
     case Act::kTanh:
@@ -29,6 +32,12 @@ inline void StoreActTileRow(Act act, const double* __restrict acc,
                             const double* __restrict bias,
                             double* __restrict orow, size_t w) {
   for (size_t c = 0; c < w; ++c) orow[c] = ApplyAct(act, acc[c] + bias[c]);
+}
+
+// The sigmoid epilogue over `rows` finished output rows of width n. It
+// evaluates the same SigmoidD(acc + bias) as a store-time sigmoid would.
+inline void FinishRows(Act act, double* y, size_t rows, size_t n) {
+  if (act == Act::kSigmoid) SigmoidInPlace(y, rows * n);
 }
 
 }  // namespace
@@ -59,6 +68,7 @@ void LinearForwardRows(const double* __restrict x, const double* __restrict wp,
         StoreActTileRow(act, acc[r], bias + j0, y + (i + r) * n + j0, w);
       }
     }
+    FinishRows(act, y + i * n, kRowTile, n);
   }
   for (; i < i1; ++i) {  // leftover rows, one output row per tile
     const double* __restrict arow = x + i * k;
@@ -74,6 +84,7 @@ void LinearForwardRows(const double* __restrict x, const double* __restrict wp,
       const size_t w = n - j0 < kColTile ? n - j0 : kColTile;
       StoreActTileRow(act, acc, bias + j0, y + i * n + j0, w);
     }
+    FinishRows(act, y + i * n, 1, n);
   }
 }
 
@@ -137,6 +148,7 @@ void LinearForwardRowsSmallN(const double* __restrict x,
         StoreActTileRow(act, acc[r], bias + nb, y + (i + r) * n + nb, tw);
       }
     }
+    FinishRows(act, y + i * n, kRowTile, n);
   }
   for (; i < i1; ++i) {  // leftover rows
     const double* __restrict arow = x + i * k;
@@ -150,6 +162,7 @@ void LinearForwardRowsSmallN(const double* __restrict x,
       }
       StoreActTileRow(act, acc, bias + j0, y + i * n + j0, tw);
     }
+    FinishRows(act, y + i * n, 1, n);
   }
 }
 
@@ -161,18 +174,36 @@ void MatMulTransARowsSmallN(const double* __restrict a, size_t ma,
   static_assert(kRowTile == 4 && kColTile == 4,
                 "hand-unrolled tile below assumes a 4x4 register tile");
   const size_t nb = n / kColTile * kColTile;
+  // a's 4-column block a(·, i..i+3), transposed once per row tile into four
+  // contiguous k-long rows s0..s3. The tile then reads it exactly as
+  // LinearForwardRowsSmallN reads x: four scalar broadcast loads per p. Read
+  // in place, the four values are adjacent, so the vectorizer loads them as
+  // one vector and spends a shuffle per broadcast, and their k rows sit one
+  // a-row stride apart, which at a power-of-two stride (a 128-wide plan or
+  // input) maps them onto a few L1 sets.
+  ScopedScratch scratch(k * kRowTile);
+  double* __restrict s0 = scratch.data();
+  double* __restrict s1 = s0 + k;
+  double* __restrict s2 = s1 + k;
+  double* __restrict s3 = s2 + k;
   size_t i = i0;
   for (; i + kRowTile <= i1; i += kRowTile) {
+    for (size_t p = 0; p < k; ++p) {
+      const double* __restrict src = a + p * ma + i;
+      s0[p] = src[0];
+      s1[p] = src[1];
+      s2[p] = src[2];
+      s3[p] = src[3];
+    }
     for (size_t j0 = 0; j0 < nb; j0 += kColTile) {
       double c00 = 0, c01 = 0, c02 = 0, c03 = 0;
       double c10 = 0, c11 = 0, c12 = 0, c13 = 0;
       double c20 = 0, c21 = 0, c22 = 0, c23 = 0;
       double c30 = 0, c31 = 0, c32 = 0, c33 = 0;
-      const double* __restrict av = a + i;        // a(p, i..i+3)
       const double* __restrict bv = b + j0;
-      for (size_t p = 0; p < k; ++p, av += ma, bv += n) {
+      for (size_t p = 0; p < k; ++p, bv += n) {
         const double b0 = bv[0], b1 = bv[1], b2 = bv[2], b3 = bv[3];
-        const double v0 = av[0], v1 = av[1], v2 = av[2], v3 = av[3];
+        const double v0 = s0[p], v1 = s1[p], v2 = s2[p], v3 = s3[p];
         c00 += v0 * b0; c01 += v0 * b1; c02 += v0 * b2; c03 += v0 * b3;
         c10 += v1 * b0; c11 += v1 * b1; c12 += v1 * b2; c13 += v1 * b3;
         c20 += v2 * b0; c21 += v2 * b1; c22 += v2 * b2; c23 += v2 * b3;
@@ -190,11 +221,11 @@ void MatMulTransARowsSmallN(const double* __restrict a, size_t ma,
     if (nb < n) {
       const size_t tw = n - nb;
       double acc[kRowTile][kColTile] = {};
-      const double* __restrict av = a + i;
       const double* __restrict bv = b + nb;
-      for (size_t p = 0; p < k; ++p, av += ma, bv += n) {
+      for (size_t p = 0; p < k; ++p, bv += n) {
+        const double v[kRowTile] = {s0[p], s1[p], s2[p], s3[p]};
         for (size_t r = 0; r < kRowTile; ++r) {
-          for (size_t c = 0; c < tw; ++c) acc[r][c] += av[r] * bv[c];
+          for (size_t c = 0; c < tw; ++c) acc[r][c] += v[r] * bv[c];
         }
       }
       for (size_t r = 0; r < kRowTile; ++r) {
@@ -218,21 +249,26 @@ void MatMulTransARowsSmallN(const double* __restrict a, size_t ma,
   }
 }
 
-SCIS_KERNEL_CLONES
-void MatMulTransBRowsSmallN(const double* __restrict a,
-                            const double* __restrict b,
-                            double* __restrict out, size_t i0, size_t i1,
-                            size_t k, size_t n) {
+namespace {
+
+// Body of the two a·bᵀ entry points below. kUpper starts each 4-row tile's
+// column walk at the tile's first row (b is a, the Gram case), so only the
+// upper block triangle is computed. Every output element is one
+// ascending-p dot starting at 0.0 either way; tiling only interleaves them.
+template <bool kUpper>
+__attribute__((always_inline)) inline void TransBRowsSmallN(
+    const double* __restrict a, const double* __restrict b,
+    double* __restrict out, size_t i0, size_t i1, size_t k, size_t n) {
   static_assert(kRowTile == 4 && kColTile == 4,
                 "hand-unrolled tile below assumes a 4x4 register tile");
-  const size_t nb = n / kColTile * kColTile;
   size_t i = i0;
   for (; i + kRowTile <= i1; i += kRowTile) {
     const double* __restrict a0 = a + i * k;
     const double* __restrict a1 = a0 + k;
     const double* __restrict a2 = a1 + k;
     const double* __restrict a3 = a2 + k;
-    for (size_t j0 = 0; j0 < nb; j0 += kColTile) {
+    size_t j0 = kUpper ? i : 0;
+    for (; j0 + kColTile <= n; j0 += kColTile) {
       const double* __restrict r0 = b + j0 * k;
       const double* __restrict r1 = r0 + k;
       const double* __restrict r2 = r1 + k;
@@ -258,7 +294,7 @@ void MatMulTransBRowsSmallN(const double* __restrict a,
       double* __restrict o3 = o2 + n;
       o3[0] = c30; o3[1] = c31; o3[2] = c32; o3[3] = c33;
     }
-    for (size_t j = nb; j < n; ++j) {  // leftover columns: plain dots
+    for (size_t j = j0; j < n; ++j) {  // leftover columns: plain dots
       const double* __restrict brow = b + j * k;
       const double* __restrict ar[kRowTile] = {a0, a1, a2, a3};
       for (size_t r = 0; r < kRowTile; ++r) {
@@ -270,13 +306,27 @@ void MatMulTransBRowsSmallN(const double* __restrict a,
   }
   for (; i < i1; ++i) {  // leftover rows: plain dots
     const double* __restrict arow = a + i * k;
-    for (size_t j = 0; j < n; ++j) {
+    for (size_t j = kUpper ? i : 0; j < n; ++j) {
       const double* __restrict brow = b + j * k;
       double s = 0.0;
       for (size_t p = 0; p < k; ++p) s += arow[p] * brow[p];
       out[i * n + j] = s;
     }
   }
+}
+
+}  // namespace
+
+SCIS_KERNEL_CLONES
+void MatMulTransBRowsSmallN(const double* a, const double* b, double* out,
+                            size_t i0, size_t i1, size_t k, size_t n) {
+  TransBRowsSmallN<false>(a, b, out, i0, i1, k, n);
+}
+
+SCIS_KERNEL_CLONES
+void GramUpperRowsSmallN(const double* a, double* out, size_t i0, size_t i1,
+                         size_t k, size_t n) {
+  TransBRowsSmallN<true>(a, a, out, i0, i1, k, n);
 }
 
 SCIS_KERNEL_CLONES

@@ -2,25 +2,86 @@
 
 #include "common/check.h"
 #include "ot/masked_cost.h"
-#include "tensor/matrix_ops.h"
 
 namespace scis {
 
 namespace {
 
-// Envelope gradients against whichever plan representation the solve
-// produced: the dense n×m plan on the exact path, the truncated CSR plan on
-// the low-rank path. Same math either way (Prop. 1 only needs <P, ∂C>).
-Matrix GradWrtA(const SinkhornSolution& sol, const Matrix& a, const Matrix& ma,
-                const Matrix& b, const Matrix& mb) {
-  if (sol.low_rank) return MaskedOtGradWrtA(sol.sparse_plan, a, ma, b, mb);
-  return MaskedOtGradWrtA(sol.plan, a, ma, b, mb);
+// One side of a masked OT problem. `rows` holds the mask projection on the
+// dense path, computed once and shared by every solve and gradient the
+// side enters; the low-rank path reads x and m directly.
+struct Side {
+  const Matrix& x;
+  const Matrix& m;
+  MaskedRows rows;
+};
+
+bool DenseSolve(const Side& s, const Side& t, const SinkhornOptions& opts) {
+  return ResolveSinkhornRank(opts, s.x.rows(), t.x.rows()) <= 0;
 }
 
-Matrix GradWrtB(const SinkhornSolution& sol, const Matrix& a, const Matrix& ma,
-                const Matrix& b, const Matrix& mb) {
-  if (sol.low_rank) return MaskedOtGradWrtB(sol.sparse_plan, a, ma, b, mb);
-  return MaskedOtGradWrtB(sol.plan, a, ma, b, mb);
+// OT_λ^m(s, t). Dense: SolveSinkhornMasked's rank-0 route (cost, then
+// solve), with the cost built from the shared projections — the upper
+// triangle only when s is t.
+SinkhornSolution Solve(const Side& s, const Side& t,
+                       const SinkhornOptions& opts) {
+  if (!DenseSolve(s, t, opts)) {
+    return SolveSinkhornMasked(s.x, s.m, t.x, t.m, opts);
+  }
+  return SolveSinkhorn(
+      &s == &t ? MaskedSelfCost(s.rows) : MaskedCost(s.rows, t.rows), opts);
+}
+
+// Envelope gradients against whichever plan the solve produced: the dense
+// n×m plan on the exact path, the truncated CSR plan on the low-rank path.
+// Same math either way (Prop. 1 only needs <P, ∂C>).
+Matrix GradSource(const SinkhornSolution& sol, const Side& s, const Side& t) {
+  if (sol.low_rank) return MaskedOtGradWrtA(sol.sparse_plan, s.x, s.m, t.x, t.m);
+  return MaskedGradRows(sol.plan, s.rows, s.m, t.rows);
+}
+
+Matrix GradTarget(const SinkhornSolution& sol, const Side& s, const Side& t) {
+  if (sol.low_rank) return MaskedOtGradWrtB(sol.sparse_plan, s.x, s.m, t.x, t.m);
+  return MaskedGradCols(sol.plan, s.rows, t.rows, t.m);
+}
+
+// The MS step shared by MsDivergenceMasked and MsDivergenceForTraining:
+// value 2·OT(a,b) − OT(a,a) [− OT(b,b) when with_bb], and, when requested,
+// the gradient in a, 2·∂_a OT(a,b) − (∂_src OT(a,a) + ∂_tgt OT(a,a)) — the
+// same elementwise operations, in the same order, as the historic
+// scale/add/subtract passes.
+DivergenceResult FusedMsStep(const Matrix& a, const Matrix& ma,
+                             const Matrix& b, const Matrix& mb,
+                             const SinkhornOptions& opts, bool with_bb,
+                             bool with_grad) {
+  SCIS_CHECK(a.SameShape(ma));
+  SCIS_CHECK(b.SameShape(mb));
+  SCIS_CHECK_EQ(a.cols(), b.cols());
+  Side sa{a, ma, {}};
+  Side sb{b, mb, {}};
+  if (DenseSolve(sa, sb, opts) || DenseSolve(sa, sa, opts)) {
+    sa.rows = ProjectMaskedRows(a, ma);
+  }
+  if (DenseSolve(sa, sb, opts) || (with_bb && DenseSolve(sb, sb, opts))) {
+    sb.rows = ProjectMaskedRows(b, mb);
+  }
+
+  const SinkhornSolution ab = Solve(sa, sb, opts);
+  const SinkhornSolution aa = Solve(sa, sa, opts);
+  DivergenceResult out;
+  out.value = 2.0 * ab.reg_value - aa.reg_value;
+  if (with_bb) out.value -= Solve(sb, sb, opts).reg_value;
+  if (!with_grad) return out;
+
+  Matrix g = GradSource(ab, sa, sb);
+  const Matrix gs = GradSource(aa, sa, sa);
+  const Matrix gt = GradTarget(aa, sa, sa);
+  double* pg = g.data();
+  const double* ps = gs.data();
+  const double* pt = gt.data();
+  for (size_t k = 0; k < g.size(); ++k) pg[k] = pg[k] * 2.0 - (ps[k] + pt[k]);
+  out.grad_xbar = std::move(g);
+  return out;
 }
 
 }  // namespace
@@ -29,31 +90,7 @@ DivergenceResult MsDivergenceMasked(const Matrix& a, const Matrix& ma,
                                     const Matrix& b, const Matrix& mb,
                                     const SinkhornOptions& opts,
                                     bool with_grad) {
-  SCIS_CHECK(a.SameShape(ma));
-  SCIS_CHECK(b.SameShape(mb));
-  SCIS_CHECK_EQ(a.cols(), b.cols());
-
-  // Each solve routes through the masked entry point: dense exact at
-  // rank 0 (bit-identical to the historic cost-then-solve sequence — the
-  // three solves share no state), sub-quadratic factored solves otherwise.
-  const SinkhornSolution ab = SolveSinkhornMasked(a, ma, b, mb, opts);
-  const SinkhornSolution aa = SolveSinkhornMasked(a, ma, a, ma, opts);
-  const SinkhornSolution bb = SolveSinkhornMasked(b, mb, b, mb, opts);
-
-  DivergenceResult out;
-  out.value = 2.0 * ab.reg_value - aa.reg_value - bb.reg_value;
-
-  if (with_grad) {
-    // Cross term: X̄ appears only as the source measure.
-    Matrix g = GradWrtA(ab, a, ma, b, mb);
-    MulScalarInPlace(g, 2.0);
-    // Self term: X̄ is both source and target; subtract both envelope parts.
-    Matrix gs = GradWrtA(aa, a, ma, a, ma);
-    AddInPlace(gs, GradWrtB(aa, a, ma, a, ma));
-    SubInPlace(g, gs);
-    out.grad_xbar = std::move(g);
-  }
-  return out;
+  return FusedMsStep(a, ma, b, mb, opts, /*with_bb=*/true, with_grad);
 }
 
 DivergenceResult MsDivergence(const Matrix& xbar, const Matrix& x,
@@ -66,19 +103,8 @@ DivergenceResult MsDivergenceForTraining(const Matrix& xbar, const Matrix& x,
                                          const Matrix& m,
                                          const SinkhornOptions& opts) {
   SCIS_CHECK(xbar.SameShape(x));
-  SCIS_CHECK(xbar.SameShape(m));
-  const SinkhornSolution ab = SolveSinkhornMasked(xbar, m, x, m, opts);
-  const SinkhornSolution aa = SolveSinkhornMasked(xbar, m, xbar, m, opts);
-
-  DivergenceResult out;
-  out.value = 2.0 * ab.reg_value - aa.reg_value;
-  Matrix g = GradWrtA(ab, xbar, m, x, m);
-  MulScalarInPlace(g, 2.0);
-  Matrix gs = GradWrtA(aa, xbar, m, xbar, m);
-  AddInPlace(gs, GradWrtB(aa, xbar, m, xbar, m));
-  SubInPlace(g, gs);
-  out.grad_xbar = std::move(g);
-  return out;
+  return FusedMsStep(xbar, m, x, m, opts, /*with_bb=*/false,
+                     /*with_grad=*/true);
 }
 
 DivergenceResult SinkhornDivergence(const Matrix& a, const Matrix& b,

@@ -2,12 +2,21 @@
 
 namespace scis {
 
+namespace {
+
+// The 1/(2n) normalization of L_s for an n-row batch.
+double MsLossScale(const Matrix& x) {
+  return 1.0 / (2.0 * static_cast<double>(x.rows()));
+}
+
+}  // namespace
+
 Var MsLoss(Var xbar, const Matrix& x, const Matrix& m,
            const SinkhornOptions& opts) {
   const Matrix xbar_val = xbar.value();
   SCIS_CHECK(xbar_val.SameShape(x));
   SCIS_CHECK(xbar_val.SameShape(m));
-  const double inv_2n = 1.0 / (2.0 * static_cast<double>(x.rows()));
+  const double inv_2n = MsLossScale(x);
   DivergenceResult res = MsDivergence(xbar_val, x, m, opts, /*with_grad=*/true);
   Matrix grad = std::move(res.grad_xbar);
   MulScalarInPlace(grad, inv_2n);
@@ -15,11 +24,19 @@ Var MsLoss(Var xbar, const Matrix& x, const Matrix& m,
                         [grad]() { return grad; });
 }
 
+double MsLossValue(const Matrix& xbar, const Matrix& x, const Matrix& m,
+                   const SinkhornOptions& opts) {
+  SCIS_CHECK(xbar.SameShape(x));
+  SCIS_CHECK(xbar.SameShape(m));
+  return MsDivergence(xbar, x, m, opts, /*with_grad=*/false).value *
+         MsLossScale(x);
+}
+
 Var MsLossFast(Var xbar, const Matrix& x, const Matrix& m,
                const SinkhornOptions& opts) {
   const Matrix xbar_val = xbar.value();
   SCIS_CHECK(xbar_val.SameShape(x));
-  const double inv_2n = 1.0 / (2.0 * static_cast<double>(x.rows()));
+  const double inv_2n = MsLossScale(x);
   DivergenceResult res = MsDivergenceForTraining(xbar_val, x, m, opts);
   Matrix grad = std::move(res.grad_xbar);
   MulScalarInPlace(grad, inv_2n);

@@ -16,6 +16,11 @@ namespace scis {
 Var MsLoss(Var xbar, const Matrix& x, const Matrix& m,
            const SinkhornOptions& opts);
 
+// MsLoss's value alone (MsDivergence with with_grad = false, no tape node):
+// the DIM loss a caller evaluates without training on it.
+double MsLossValue(const Matrix& xbar, const Matrix& x, const Matrix& m,
+                   const SinkhornOptions& opts);
+
 // Fast training variant: same gradient, but the value omits the constant
 // OT_λ^m(X, X) self term (one fewer Sinkhorn solve per step). DIM uses
 // this in its inner loop.

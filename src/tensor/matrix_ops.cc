@@ -383,10 +383,7 @@ Matrix PairwiseSquaredDistances(const Matrix& a, const Matrix& b) {
   runtime::ParallelFor(0, n, runtime::GrainForWork(n, m),
                        [&](size_t ib, size_t ie) {
     for (size_t i = ib; i < ie; ++i) {
-      double* p = out.row_data(i);
-      for (size_t j = 0; j < m; ++j) {
-        p[j] = std::max(a2[i] + b2[j] - 2.0 * p[j], 0.0);
-      }
+      kernels::SquaredDistanceRow(a2[i], b2.data(), out.row_data(i), m);
     }
   });
   return out;

@@ -6,6 +6,8 @@
 #include <limits>
 
 #include "common/check.h"
+#include "kernels/elementwise.h"
+#include "runtime/parallel_for.h"
 #include "tensor/matrix_ops.h"
 
 namespace scis::testkit {
@@ -40,6 +42,87 @@ Matrix NaiveMaskedCost(const Matrix& a, const Matrix& ma, const Matrix& b,
     }
   }
   return cost;
+}
+
+Matrix ReferenceMaskedCost(const Matrix& a, const Matrix& ma, const Matrix& b,
+                           const Matrix& mb) {
+  SCIS_CHECK(a.SameShape(ma));
+  SCIS_CHECK(b.SameShape(mb));
+  SCIS_CHECK_EQ(a.cols(), b.cols());
+  // The historic PairwiseSquaredDistances body, scalar epilogue included.
+  const Matrix pa = Mul(a, ma), pb = Mul(b, mb);
+  const size_t n = pa.rows(), m = pb.rows(), d = pa.cols();
+  std::vector<double> a2(n, 0.0), b2(m, 0.0);
+  for (size_t i = 0; i < n; ++i) a2[i] = kernels::SquaredNorm(pa.row_data(i), d);
+  for (size_t j = 0; j < m; ++j) b2[j] = kernels::SquaredNorm(pb.row_data(j), d);
+  Matrix out = MatMulTransB(pa, pb);
+  runtime::ParallelFor(0, n, runtime::GrainForWork(n, m),
+                       [&](size_t ib, size_t ie) {
+    for (size_t i = ib; i < ie; ++i) {
+      double* p = out.row_data(i);
+      for (size_t j = 0; j < m; ++j) {
+        p[j] = std::max(a2[i] + b2[j] - 2.0 * p[j], 0.0);
+      }
+    }
+  });
+  return out;
+}
+
+Matrix ReferenceMaskedOtGradWrtA(const Matrix& plan, const Matrix& a,
+                                 const Matrix& ma, const Matrix& b,
+                                 const Matrix& mb) {
+  SCIS_CHECK_EQ(plan.rows(), a.rows());
+  SCIS_CHECK_EQ(plan.cols(), b.rows());
+  const size_t n = a.rows(), m = b.rows(), d = a.cols();
+  Matrix grad(n, d);
+  runtime::ParallelFor(0, n, runtime::GrainForWork(n, m * d),
+                       [&](size_t rb, size_t re) {
+    for (size_t i = rb; i < re; ++i) {
+      const double* ai = a.row_data(i);
+      const double* mi = ma.row_data(i);
+      const double* pi = plan.row_data(i);
+      double* gi = grad.row_data(i);
+      const double prow = kernels::Sum(pi, m);
+      for (size_t j = 0; j < m; ++j) {
+        const double pij = pi[j];
+        if (pij == 0.0) continue;
+        kernels::ScaledMulAdd(-pij, mb.row_data(j), b.row_data(j), gi, d);
+      }
+      kernels::MaskedGradFinish(mi, ai, prow, gi, d);
+    }
+  });
+  return grad;
+}
+
+Matrix ReferenceMaskedOtGradWrtB(const Matrix& plan, const Matrix& a,
+                                 const Matrix& ma, const Matrix& b,
+                                 const Matrix& mb) {
+  return ReferenceMaskedOtGradWrtA(Transpose(plan), b, mb, a, ma);
+}
+
+DivergenceResult ReferenceMsStep(const Matrix& a, const Matrix& ma,
+                                 const Matrix& b, const Matrix& mb,
+                                 const SinkhornOptions& opts, bool with_bb,
+                                 bool with_grad) {
+  const SinkhornSolution ab =
+      SolveSinkhorn(ReferenceMaskedCost(a, ma, b, mb), opts);
+  const SinkhornSolution aa =
+      SolveSinkhorn(ReferenceMaskedCost(a, ma, a, ma), opts);
+  DivergenceResult out;
+  out.value = 2.0 * ab.reg_value - aa.reg_value;
+  if (with_bb) {
+    out.value -= SolveSinkhorn(ReferenceMaskedCost(b, mb, b, mb), opts)
+                     .reg_value;
+  }
+  if (with_grad) {
+    Matrix g = ReferenceMaskedOtGradWrtA(ab.plan, a, ma, b, mb);
+    MulScalarInPlace(g, 2.0);
+    Matrix gs = ReferenceMaskedOtGradWrtA(aa.plan, a, ma, a, ma);
+    AddInPlace(gs, ReferenceMaskedOtGradWrtB(aa.plan, a, ma, a, ma));
+    SubInPlace(g, gs);
+    out.grad_xbar = std::move(g);
+  }
+  return out;
 }
 
 std::vector<std::pair<size_t, double>> NaiveMaskedKnn(

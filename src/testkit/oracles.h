@@ -12,6 +12,7 @@
 
 #include "core/dim.h"
 #include "models/imputer.h"
+#include "ot/divergence.h"
 #include "tensor/matrix.h"
 
 namespace scis::testkit {
@@ -35,6 +36,32 @@ std::vector<std::pair<size_t, double>> NaiveMaskedKnn(
     const Matrix& x, const Matrix& mask, const double* query,
     const double* query_mask, size_t k,
     size_t exclude = static_cast<size_t>(-1));
+
+// The masked OT glue as it stood before the GEMM rewrite of
+// ot/masked_cost.cc, kept verbatim as the bit-exact reference for the fused
+// dense path: the cost as PairwiseSquaredDistances over Mul(x, m) (its
+// historic body, with the serial norm loops of a 128-row batch), the
+// Prop.-1 gradients as a per-row scaled axpy over the plan entries (the B
+// side on a transposed plan copy), and the MS step as separate dense
+// SolveSinkhorn calls over those costs combined by scale/add/subtract
+// passes. Unlike the naive oracles these share the production kernels
+// (kernels::ScaledMulAdd, Sum, MaskedGradFinish), so the fused path must
+// match them bit for bit, signed zeros included. bench/ot_glue times them
+// as the pre-change arm.
+Matrix ReferenceMaskedCost(const Matrix& a, const Matrix& ma, const Matrix& b,
+                           const Matrix& mb);
+Matrix ReferenceMaskedOtGradWrtA(const Matrix& plan, const Matrix& a,
+                                 const Matrix& ma, const Matrix& b,
+                                 const Matrix& mb);
+Matrix ReferenceMaskedOtGradWrtB(const Matrix& plan, const Matrix& a,
+                                 const Matrix& ma, const Matrix& b,
+                                 const Matrix& mb);
+// 2·OT(a,b) − OT(a,a) [− OT(b,b) when with_bb] and its gradient in a: the
+// historic dense MsDivergenceMasked (with_bb) / MsDivergenceForTraining.
+DivergenceResult ReferenceMsStep(const Matrix& a, const Matrix& ma,
+                                 const Matrix& b, const Matrix& mb,
+                                 const SinkhornOptions& opts, bool with_bb,
+                                 bool with_grad);
 
 struct OtOracle {
   Matrix plan;                  // optimal P*
