@@ -37,7 +37,6 @@ namespace {
 Checkpoint MakeCheckpoint(size_t d, uint64_t seed) {
   Rng rng(seed);
   Checkpoint ckpt;
-  ckpt.version = 3;
   ckpt.meta.model = "GAIN";
   for (size_t j = 0; j < d; ++j) {
     ckpt.meta.columns.push_back({"c" + std::to_string(j), 0, 0});

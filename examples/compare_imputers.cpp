@@ -85,7 +85,6 @@ int main(int argc, char** argv) {
 
     const size_t d = prep.train.num_cols();
     Checkpoint ckpt;
-    ckpt.version = 2;
     ckpt.meta.model = "GAIN";
     for (const ColumnMeta& c : prep.train.columns()) {
       ckpt.meta.columns.push_back(

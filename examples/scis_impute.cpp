@@ -10,8 +10,9 @@
 // chosen imputer (SCIS-accelerated for the GAN methods), apply Eq. 1, and
 // write the completed table back in original units.
 //
-// --save_params writes a self-contained v2 checkpoint (generator weights +
-// normalizer stats + column schema) that scis_serve can load directly.
+// --save_params writes a self-contained, checksummed binary checkpoint
+// (generator weights + normalizer stats + column schema) that scis_serve
+// maps directly.
 // --save_index additionally writes a mask-aware ANN index over the
 // normalized training rows; scis_serve --index loads it for
 // retrieval-augmented imputation.
@@ -54,7 +55,6 @@ CheckpointMeta MakeMeta(const std::string& model, const Dataset& raw,
 
 int main(int argc, char** argv) {
   std::string input, output, method = "SCIS-GAIN", save_params, save_index;
-  std::string save_params_bin;
   long long epochs = 30;
   long long n0 = 500;
   double epsilon = 0.001;
@@ -76,10 +76,8 @@ int main(int argc, char** argv) {
                "Sinkhorn solver rank: 0 = exact dense, -1 = auto "
                "(low-rank above the size threshold), >0 = force rank");
   flags.AddString("save_params", &save_params,
-                  "optional path to checkpoint the trained generator");
-  flags.AddString("save_params_bin", &save_params_bin,
-                  "optional path for a binary v3 checkpoint (mmap-able; "
-                  "scis_serve loads it zero-copy)");
+                  "optional path to checkpoint the trained generator "
+                  "(scis_serve maps it zero-copy)");
   flags.AddString("save_index", &save_index,
                   "optional path for an ANN index over the normalized "
                   "training rows (scis_serve --index)");
@@ -110,6 +108,7 @@ int main(int argc, char** argv) {
   Dataset train = norm.FitTransform(raw);
 
   Matrix imputed_norm;
+  std::unique_ptr<Imputer> model;  // kept for --save_params
   Stopwatch watch;
   const bool use_scis =
       method == "SCIS-GAIN" || method == "SCIS-GINN";
@@ -140,19 +139,7 @@ int main(int argc, char** argv) {
                 scis.report().n_star,
                 100.0 * scis.report().training_sample_rate,
                 scis.report().sse_seconds, scis.report().total_seconds);
-    if (!save_params.empty()) {
-      Status st = SaveCheckpoint(gen->generator_params(),
-                                 MakeMeta(base, raw, norm), save_params);
-      std::printf("checkpoint %s: %s\n", save_params.c_str(),
-                  st.ToString().c_str());
-    }
-    if (!save_params_bin.empty()) {
-      Status st = SaveCheckpointBinary(gen->generator_params(),
-                                       MakeMeta(base, raw, norm),
-                                       save_params_bin);
-      std::printf("binary checkpoint %s: %s\n", save_params_bin.c_str(),
-                  st.ToString().c_str());
-    }
+    model = std::move(gen);
   } else {
     Result<std::unique_ptr<Imputer>> imp =
         MakeImputer(method, static_cast<int>(epochs),
@@ -166,29 +153,21 @@ int main(int argc, char** argv) {
       return 1;
     }
     imputed_norm = (*imp)->Impute(train);
-    if (!save_params.empty() || !save_params_bin.empty()) {
-      // Only generator-backed baselines (GAIN, GINN) carry parameters a
-      // checkpoint can capture.
-      auto* gen = dynamic_cast<GenerativeImputer*>(imp->get());
-      if (gen == nullptr) {
-        std::printf("checkpoint: skipped (%s has no generator)\n",
-                    method.c_str());
-      } else {
-        if (!save_params.empty()) {
-          Status st = SaveCheckpoint(gen->generator_params(),
-                                     MakeMeta(gen->name(), raw, norm),
-                                     save_params);
-          std::printf("checkpoint %s: %s\n", save_params.c_str(),
-                      st.ToString().c_str());
-        }
-        if (!save_params_bin.empty()) {
-          Status st = SaveCheckpointBinary(gen->generator_params(),
-                                           MakeMeta(gen->name(), raw, norm),
-                                           save_params_bin);
-          std::printf("binary checkpoint %s: %s\n", save_params_bin.c_str(),
-                      st.ToString().c_str());
-        }
-      }
+    model = std::move(imp).value();
+  }
+  if (!save_params.empty()) {
+    // Only generator-backed methods (GAIN, GINN) carry parameters a
+    // checkpoint can capture.
+    auto* gen = dynamic_cast<GenerativeImputer*>(model.get());
+    if (gen == nullptr) {
+      std::printf("checkpoint: skipped (%s has no generator)\n",
+                  method.c_str());
+    } else {
+      Status st = SaveCheckpointBinary(gen->generator_params(),
+                                       MakeMeta(gen->name(), raw, norm),
+                                       save_params);
+      std::printf("checkpoint %s: %s\n", save_params.c_str(),
+                  st.ToString().c_str());
     }
   }
   std::printf("imputation took %.2fs\n", watch.ElapsedSeconds());

@@ -7,7 +7,7 @@
 // bit-for-bit:
 //
 //   1. Train a GAIN generator offline, save a v3 checkpoint, serve it
-//      behind the epoll event loop (2 shards).
+//      behind the epoll event loop.
 //   2. Feed baseline traffic through a client; the DriftController check
 //      finds P(D(θ_n, θ_N) ≤ ε) ≥ 1−α — no drift, no retrain.
 //   3. Feed drifted traffic (shifted value range, heavier missingness).
@@ -230,7 +230,6 @@ LoopRun RunLoop(int threads, const std::string& dir) {
   }
 
   serve::ServerOptions sopts;
-  sopts.shards = 2;
   sopts.sample_hook = (*mgr)->SampleHook();
   serve::ImputationServer server(std::move(*engine), sopts);
   if (Status st = server.Start(); !st.ok()) {

@@ -1,18 +1,16 @@
-// scis_serve — online imputation server (event-driven, sharded).
+// scis_serve — online imputation server (event-driven).
 //
-//   scis_serve --params a.ckpt[,b.ckpt,...] [--shards 1] \
-//              [--host 127.0.0.1] [--port 0] [--port_file serve.port] \
+//   scis_serve --params a.ckpt[,b.ckpt,...] [--host 127.0.0.1] \
+//              [--port 0] [--port_file serve.port] \
 //              [--threads 0] [--max_batch_rows 64] [--max_wait_ms 2] \
 //              [--max_queue_rows 1024] [--request_timeout_ms 0] \
 //              [--index train.annidx] [--retrieval_k 10] \
 //              [--retrieval_blend 0.5] [--report-out report.json]
 //
-// Loads one or more self-contained checkpoints (text v2 from
-// scis_impute --save_params, or mmap-able binary v3 from --save_params_bin)
-// and serves them behind one epoll event loop: requests route to the model
-// matching their column count, then to one of --shards micro-batching
-// queues by payload hash. Results are bit-identical to the offline Imputer
-// on the same rows, for any shard count.
+// Maps one or more checkpoints (scis_impute --save_params) and serves them
+// behind one epoll event loop: requests route to the model matching their
+// column count, and each model micro-batches through one queue. Results are
+// bit-identical to the offline Imputer on the same rows.
 //
 // SIGHUP re-loads every --params checkpoint from disk and hot-swaps it in
 // under traffic (same schema widths required). SIGINT/SIGTERM or a client
@@ -81,7 +79,6 @@ int main(int argc, char** argv) {
   std::string params, host = "127.0.0.1", port_file, report_out, index_path;
   long long port = 0;
   long long threads = 0;
-  long long shards = 1;
   long long max_batch_rows = 64;
   long long max_queue_rows = 1024;
   long long retrieval_k = 10;
@@ -100,16 +97,14 @@ int main(int argc, char** argv) {
   long long lifecycle_retrain_cap = 4096;
   FlagParser flags;
   flags.AddString("params", &params,
-                  "comma-separated checkpoints (v2 text or v3 binary); "
-                  "schema widths must be unique");
+                  "comma-separated checkpoints (scis_impute "
+                  "--save_params); schema widths must be unique");
   flags.AddString("host", &host, "bind address (dotted quad)");
   flags.AddInt("port", &port, "TCP port (0 = ephemeral)");
   flags.AddString("port_file", &port_file,
                   "write the bound port here once listening");
   flags.AddInt("threads", &threads,
                "worker threads (0 = SCIS_NUM_THREADS or hardware)");
-  flags.AddInt("shards", &shards,
-               "independent micro-batching queues per model");
   flags.AddInt("max_batch_rows", &max_batch_rows,
                "flush a micro-batch at this many rows");
   flags.AddInt("max_queue_rows", &max_queue_rows,
@@ -156,10 +151,6 @@ int main(int argc, char** argv) {
     std::printf("--params is required (see --help)\n");
     return 1;
   }
-  if (shards < 1) {
-    std::printf("--shards must be >= 1\n");
-    return 1;
-  }
   if (!index_path.empty() && param_paths.size() > 1) {
     std::printf("--index requires a single --params checkpoint\n");
     return 1;
@@ -197,7 +188,6 @@ int main(int argc, char** argv) {
   serve::ServerOptions opts;
   opts.host = host;
   opts.port = static_cast<int>(port);
-  opts.shards = static_cast<size_t>(shards);
   opts.queue.max_batch_rows = static_cast<size_t>(max_batch_rows);
   opts.queue.max_queue_rows = static_cast<size_t>(max_queue_rows);
   opts.queue.max_wait_ms = max_wait_ms;
@@ -253,9 +243,8 @@ int main(int argc, char** argv) {
     std::printf("start: %s\n", st.ToString().c_str());
     return 1;
   }
-  std::printf("serving %zu model%s x %lld shard%s on %s:%d\n",
-              param_paths.size(), param_paths.size() == 1 ? "" : "s", shards,
-              shards == 1 ? "" : "s", host.c_str(), server.port());
+  std::printf("serving %zu model%s on %s:%d\n", param_paths.size(),
+              param_paths.size() == 1 ? "" : "s", host.c_str(), server.port());
   if (!port_file.empty()) {
     FILE* f = std::fopen(port_file.c_str(), "w");
     if (f == nullptr) {
@@ -296,7 +285,6 @@ int main(int argc, char** argv) {
   if (!report_out.empty()) {
     obs::RunReport report("scis_serve");
     report.AddConfig("params", params);
-    report.AddConfig("shards", static_cast<int64_t>(shards));
     report.AddConfig("max_batch_rows", static_cast<int64_t>(max_batch_rows));
     report.AddConfig("max_queue_rows", static_cast<int64_t>(max_queue_rows));
     report.AddConfig("max_wait_ms", max_wait_ms);

@@ -18,19 +18,18 @@ case "$MODE" in
     cmake --build --preset default -j "$JOBS"
     ctest --preset tier1 -j "$JOBS"
 
-    # Serving loopback smoke test: train a tiny model, save both checkpoint
-    # formats, serve the mmap-able v3 binary across 2 shards over TCP,
-    # impute through scis_client, and require the served CSV to be
-    # byte-identical to the offline scis_impute output.
+    # Serving loopback smoke test: train a tiny model, save its checkpoint,
+    # serve it (mmap-ed, checksums verified) over TCP, impute through
+    # scis_client, and require the served CSV to be byte-identical to the
+    # offline scis_impute output.
     SMOKE="$(mktemp -d)"
     trap 'rm -rf "$SMOKE"' EXIT
     ./build/examples/scis_datagen --dataset Trial --scale 0.005 \
       --output "$SMOKE/tiny.csv" >/dev/null
     ./build/examples/scis_impute --input "$SMOKE/tiny.csv" \
       --output "$SMOKE/offline.csv" --method SCIS-GAIN --epochs 2 --n0 32 \
-      --seed 3 --save_params "$SMOKE/model.ckpt" \
-      --save_params_bin "$SMOKE/model.bin" >/dev/null
-    ./build/examples/scis_serve --params "$SMOKE/model.bin" --shards 2 \
+      --seed 3 --save_params "$SMOKE/model.bin" >/dev/null
+    ./build/examples/scis_serve --params "$SMOKE/model.bin" \
       --port 0 --port_file "$SMOKE/serve.port" &
     SERVE_PID=$!
     for _ in $(seq 50); do
@@ -44,7 +43,7 @@ case "$MODE" in
       --shutdown >/dev/null
     wait "$SERVE_PID"
     cmp "$SMOKE/offline.csv" "$SMOKE/served.csv"
-    echo "serve loopback smoke: OK (2 shards, v3 mmap ckpt, served == offline)"
+    echo "serve loopback smoke: OK (mmap ckpt, served == offline)"
 
     # Perf smoke: the kernel bench sweep must run to completion and emit a
     # parseable json (quick mode — small sizes, short timing windows; the
@@ -148,14 +147,15 @@ assert c['glue_speedup'] >= 3.0, c" \
       bench/BENCH_ot.json
     echo "ot glue baseline: OK (bench/BENCH_ot.json holds the 3x bar at d = 64)"
 
-    # Serve perf smoke: the connections x shards TCP sweep must complete,
-    # every cell must be bit-identical to the offline engine, and the json
-    # must parse (quick mode; the committed full-mode baseline is
-    # bench/BENCH_serve.json).
+    # Serve perf smoke: the TCP connections sweep must complete, every cell
+    # must be bit-identical to the offline engine, and the json must parse
+    # with nproc and one point per connection count (quick mode: {1, 8};
+    # the committed full-mode baseline is bench/BENCH_serve.json).
     ./build/bench/serve_latency --quick \
       --bench-json="$SMOKE/bench_serve.json" >/dev/null
     python3 -c "import json,sys; d=json.load(open(sys.argv[1])); \
-assert d['schema']=='scis-bench-serve-v1' and d['sweep'], d; \
+assert d['schema']=='scis-bench-serve-v1' and d['nproc'] >= 1, d; \
+assert [p['connections'] for p in d['sweep']] == [1, 8], d; \
 assert all(p['bit_identical'] for p in d['sweep']), d" \
       "$SMOKE/bench_serve.json"
     echo "serve bench smoke: OK ($(python3 -c "import json,sys; \
@@ -163,7 +163,7 @@ print(len(json.load(open(sys.argv[1]))['sweep']))" "$SMOKE/bench_serve.json") sw
 
     # Continuous-learning loop smoke: the scis_lifecycle demo runs the full
     # feed -> SSE drift check -> retrain-at-n* -> hot-swap loop against a
-    # live 2-shard server at 1/2/4 worker threads and exits non-zero unless
+    # live server at 1/2/4 worker threads and exits non-zero unless
     # every run is bit-identical with zero dropped or failed requests.
     ./build/examples/scis_lifecycle --workdir "$SMOKE/lifecycle" \
       --report-out "$SMOKE/lifecycle_report.json" >/dev/null

@@ -29,6 +29,14 @@ struct PublishMetrics {
   }
 };
 
+// Rollback = delete the candidate file, never advance the generation.
+Status Rollback(const std::string& path, Status why) {
+  std::error_code ec;
+  std::filesystem::remove(path, ec);
+  PublishMetrics::Get().rollbacks->Add();
+  return why;
+}
+
 }  // namespace
 
 CheckpointPublisher::CheckpointPublisher(std::string dir, SwapFn swap)
@@ -44,35 +52,31 @@ Result<std::string> CheckpointPublisher::Publish(const ParamStore& params,
   if (ec) {
     return Status::IoError("cannot create " + dir_ + ": " + ec.message());
   }
-  const uint64_t next = generation_.load() + 1;
   char name[32];
-  std::snprintf(name, sizeof(name), "gen-%06" PRIu64 ".bin", next);
+  std::snprintf(name, sizeof(name), "gen-%06" PRIu64 ".bin",
+                generation_.load() + 1);
   const std::string path = dir_ + "/" + name;
-
-  // Rollback = delete the candidate file, never advance the generation.
-  auto rollback = [&](Status why) -> Status {
-    std::error_code rm_ec;
-    std::filesystem::remove(path, rm_ec);
-    PublishMetrics::Get().rollbacks->Add();
-    return why;
-  };
-
   if (Status st = SaveCheckpointBinary(params, meta, path); !st.ok()) {
-    return rollback(st);
+    return Rollback(path, st);
   }
+  return Deploy(path, meta.columns.size(), validation);
+}
 
+Result<std::string> CheckpointPublisher::Deploy(const std::string& path,
+                                                size_t cols,
+                                                const Matrix& validation) {
   // Identical acceptance rules as the SIGHUP operator reload.
   Result<std::shared_ptr<const serve::ImputationEngine>> engine =
-      serve::LoadAndValidateCheckpoint(path, meta.columns.size());
-  if (!engine.ok()) return rollback(engine.status());
+      serve::LoadAndValidateCheckpoint(path, cols);
+  if (!engine.ok()) return Rollback(path, engine.status());
 
   // Validation batch on real traffic rows: finite fills, and observed cells
   // must pass through bit-exactly (the engine's Eq.-1 contract).
   if (validation.rows() > 0) {
     Result<Matrix> out = (*engine)->ImputeBatch(validation);
     if (!out.ok()) {
-      return rollback(Status::Internal("validation batch failed: " +
-                                       out.status().message()));
+      return Rollback(path, Status::Internal("validation batch failed: " +
+                                             out.status().message()));
     }
     for (size_t i = 0; i < validation.rows(); ++i) {
       for (size_t j = 0; j < validation.cols(); ++j) {
@@ -80,11 +84,11 @@ Result<std::string> CheckpointPublisher::Publish(const ParamStore& params,
         const double got = out.value()(i, j);
         if (std::isnan(in)) {
           if (!std::isfinite(got)) {
-            return rollback(Status::Internal(
+            return Rollback(path, Status::Internal(
                 "validation batch imputed a non-finite value"));
           }
         } else if (got != in) {
-          return rollback(Status::Internal(
+          return Rollback(path, Status::Internal(
               "validation batch mutated an observed cell"));
         }
       }
@@ -92,9 +96,11 @@ Result<std::string> CheckpointPublisher::Publish(const ParamStore& params,
   }
 
   if (Status st = swap_(std::move(*engine)); !st.ok()) {
-    return rollback(Status::Internal("hot-swap refused: " + st.message()));
+    return Rollback(path,
+                    Status::Internal("hot-swap refused: " + st.message()));
   }
 
+  const uint64_t next = generation_.load() + 1;
   generation_.store(next);
   PublishMetrics& m = PublishMetrics::Get();
   m.swaps->Add();

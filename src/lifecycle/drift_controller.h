@@ -18,10 +18,10 @@
 // EstimateMinimumSize picks n*, the most recent n* stored rows retrain the
 // generator through the existing DIM loop (warm-started — the optimizer
 // state persists across retrains), and the result is handed to the
-// publish callback (CheckpointPublisher → EngineFleet::HotSwap). The whole
-// check is a pure function of (store content, options, trained-rows state),
-// so a seeded loop reproduces bit-identical n*, weights, and post-swap
-// served bytes at any thread count.
+// publish callback (CheckpointPublisher → ImputationServer::HotSwap). The
+// whole check is a pure function of (store content, options, trained-rows
+// state), so a seeded loop reproduces bit-identical n*, weights, and
+// post-swap served bytes at any thread count.
 #ifndef SCIS_LIFECYCLE_DRIFT_CONTROLLER_H_
 #define SCIS_LIFECYCLE_DRIFT_CONTROLLER_H_
 

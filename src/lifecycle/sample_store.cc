@@ -4,13 +4,13 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <cerrno>
 #include <cinttypes>
 #include <cstring>
 #include <filesystem>
 
 #include "common/check.h"
+#include "common/crc32.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
 
@@ -106,25 +106,6 @@ Result<Matrix> DecodePayload(const uint8_t* p, size_t n, size_t want_cols) {
 }
 
 }  // namespace
-
-uint32_t Crc32(const uint8_t* data, size_t n) {
-  static const std::array<uint32_t, 256> table = [] {
-    std::array<uint32_t, 256> t{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int b = 0; b < 8; ++b) {
-        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < n; ++i) {
-    crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
 
 std::string SampleStore::SegmentPath(uint64_t index) const {
   char name[32];

@@ -45,10 +45,6 @@
 
 namespace scis::lifecycle {
 
-// CRC-32 (IEEE 802.3, reflected 0xEDB88320) over `n` bytes. Exposed so
-// tests can corrupt records knowingly.
-uint32_t Crc32(const uint8_t* data, size_t n);
-
 struct SampleStoreOptions {
   size_t max_segment_bytes = 1u << 20;  // rotate the active segment past this
   size_t max_segments = 64;             // compaction: delete oldest beyond this

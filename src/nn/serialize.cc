@@ -5,62 +5,23 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <iomanip>
-#include <sstream>
+
+#include "common/crc32.h"
 
 namespace scis {
 namespace {
 
-void WriteParamBlock(std::ofstream& out, const ParamStore& store) {
-  for (size_t id = 0; id < store.size(); ++id) {
-    const Matrix& m = store.value(id);
-    out << store.name(id) << " " << m.rows() << " " << m.cols() << "\n";
-    for (size_t k = 0; k < m.size(); ++k) {
-      if (k) out << ' ';
-      out << m[k];
-    }
-    out << "\n";
-  }
-}
-
-Status ReadParamBlock(std::ifstream& in, size_t count,
-                      const std::string& path,
-                      std::vector<NamedParam>* params) {
-  params->reserve(count);
-  for (size_t id = 0; id < count; ++id) {
-    std::string name;
-    size_t rows = 0, cols = 0;
-    in >> name >> rows >> cols;
-    if (!in) return Status::IoError("truncated header in " + path);
-    Matrix m(rows, cols);
-    for (size_t k = 0; k < m.size(); ++k) in >> m[k];
-    if (!in) return Status::IoError("truncated values in " + path);
-    params->push_back({std::move(name), std::move(m)});
-  }
-  return Status::OK();
-}
-
-// Expects the literal keyword next in the stream; any other token means a
-// malformed (or hand-edited) file.
-Status ExpectKeyword(std::ifstream& in, const char* keyword,
-                     const std::string& path) {
-  std::string tok;
-  in >> tok;
-  if (!in || tok != keyword) {
-    return Status::InvalidArgument("expected '" + std::string(keyword) +
-                                   "' section in " + path);
-  }
-  return Status::OK();
-}
-
-// ---- v3 binary format helpers ----
-
-constexpr char kBinMagic[8] = {'s', 'c', 'i', 's', 'c', 'k', 'p', '3'};
+constexpr char kMagic[8] = {'s', 'c', 'i', 's', 'c', 'k', '3', 'c'};
 constexpr uint32_t kEndianTag = 0x01020304;
 constexpr size_t kBlobAlign = 64;  // bytes; params start cache-line aligned
+// magic | endian tag | header CRC — the prefix no checksum covers.
+constexpr size_t kHeaderCrcStart = sizeof(kMagic) + 2 * sizeof(uint32_t);
+// ... | blob CRC | blob offset — the fixed fields before the schema.
+constexpr size_t kFixedBytes = kHeaderCrcStart + sizeof(uint32_t) +
+                               sizeof(uint64_t);
 
 void PutBytes(const void* p, size_t n, std::string* out) {
   out->append(static_cast<const char*>(p), n);
@@ -72,11 +33,16 @@ void PutStr(const std::string& s, std::string* out) {
   PutBytes(s.data(), s.size(), out);
 }
 
+uint32_t Crc32Of(const std::string& s) {
+  return Crc32(reinterpret_cast<const uint8_t*>(s.data()), s.size());
+}
+
 // Bounds-checked reader over the mapped bytes; every Get fails cleanly on a
 // truncated or hostile file instead of walking off the mapping.
 class BinReader {
  public:
-  BinReader(const uint8_t* data, size_t len) : data_(data), len_(len) {}
+  BinReader(const uint8_t* data, size_t len, size_t at)
+      : data_(data), len_(len), at_(at) {}
 
   bool GetBytes(void* out, size_t n) {
     if (len_ - at_ < n) return false;
@@ -96,12 +62,11 @@ class BinReader {
   bool GetF64Array(double* out, size_t count) {
     return GetBytes(out, count * sizeof(double));
   }
-  size_t at() const { return at_; }
 
  private:
   const uint8_t* data_;
   size_t len_;
-  size_t at_ = 0;
+  size_t at_;
 };
 
 }  // namespace
@@ -116,60 +81,66 @@ Status SaveCheckpointBinary(const ParamStore& store, const CheckpointMeta& meta,
     return Status::InvalidArgument(
         "checkpoint meta columns/normalizer sizes disagree");
   }
-  std::string head;
-  head.append(kBinMagic, sizeof(kBinMagic));
-  PutU32(kEndianTag, &head);
-  PutStr(meta.model, &head);
-  PutU32(static_cast<uint32_t>(meta.columns.size()), &head);
-  for (const CheckpointColumn& c : meta.columns) {
-    PutU32(static_cast<uint32_t>(c.kind), &head);
-    PutU32(static_cast<uint32_t>(c.num_categories), &head);
-    PutStr(c.name, &head);
-  }
-  PutBytes(meta.norm_lo.data(), meta.norm_lo.size() * sizeof(double), &head);
-  PutBytes(meta.norm_hi.data(), meta.norm_hi.size() * sizeof(double), &head);
-  PutU32(static_cast<uint32_t>(store.size()), &head);
-  // Element offsets into the blob, each param 64-byte aligned.
-  constexpr size_t kAlignDoubles = kBlobAlign / sizeof(double);
-  uint64_t blob_doubles = 0;
+  // The value blob, each param padded to a 64-byte boundary.
+  std::string blob;
+  std::string table;  // per-param entries of the header
   for (size_t id = 0; id < store.size(); ++id) {
     const Matrix& m = store.value(id);
-    PutStr(store.name(id), &head);
-    PutU64(m.rows(), &head);
-    PutU64(m.cols(), &head);
-    PutU64(blob_doubles, &head);
-    blob_doubles += (m.size() + kAlignDoubles - 1) / kAlignDoubles *
-                    kAlignDoubles;
+    PutStr(store.name(id), &table);
+    PutU64(m.rows(), &table);
+    PutU64(m.cols(), &table);
+    PutU64(blob.size() / sizeof(double), &table);
+    PutBytes(m.data(), m.size() * sizeof(double), &blob);
+    blob.append((kBlobAlign - blob.size() % kBlobAlign) % kBlobAlign, '\0');
   }
-  // Pad the header to a 64-byte boundary so blob offsets are file offsets
-  // modulo alignment (mmap bases are page-aligned, so this suffices).
-  head.append((kBlobAlign - head.size() % kBlobAlign) % kBlobAlign, '\0');
 
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot open " + path + " for writing");
-  out.write(head.data(), static_cast<std::streamsize>(head.size()));
-  std::vector<double> pad(kAlignDoubles, 0.0);
-  for (size_t id = 0; id < store.size(); ++id) {
-    const Matrix& m = store.value(id);
-    out.write(reinterpret_cast<const char*>(m.data()),
-              static_cast<std::streamsize>(m.size() * sizeof(double)));
-    const size_t tail = m.size() % kAlignDoubles;
-    if (tail != 0) {
-      out.write(reinterpret_cast<const char*>(pad.data()),
-                static_cast<std::streamsize>((kAlignDoubles - tail) *
-                                             sizeof(double)));
+  std::string schema;
+  PutStr(meta.model, &schema);
+  PutU32(static_cast<uint32_t>(meta.columns.size()), &schema);
+  for (const CheckpointColumn& c : meta.columns) {
+    PutU32(static_cast<uint32_t>(c.kind), &schema);
+    PutU32(static_cast<uint32_t>(c.num_categories), &schema);
+    PutStr(c.name, &schema);
+  }
+  PutBytes(meta.norm_lo.data(), meta.norm_lo.size() * sizeof(double), &schema);
+  PutBytes(meta.norm_hi.data(), meta.norm_hi.size() * sizeof(double), &schema);
+  PutU32(static_cast<uint32_t>(store.size()), &schema);
+  schema += table;
+  // Pad so the blob starts 64-byte aligned in the file (mmap bases are
+  // page-aligned, so views into the mapping are too).
+  const size_t unpadded = kFixedBytes + schema.size();
+  schema.append((kBlobAlign - unpadded % kBlobAlign) % kBlobAlign, '\0');
+
+  // The header CRC covers everything from the blob CRC to the blob.
+  std::string covered;
+  PutU32(Crc32Of(blob), &covered);
+  PutU64(kFixedBytes + schema.size(), &covered);
+  covered += schema;
+  std::string head(kMagic, sizeof(kMagic));
+  PutU32(kEndianTag, &head);
+  PutU32(Crc32Of(covered), &head);
+
+  // Write a sibling file and rename it over `path`: a server mapping the
+  // old file keeps its inode, so re-saving a served checkpoint (then
+  // SIGHUP) never truncates or rewrites weights under live traffic.
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) return Status::IoError("cannot open " + tmp + " for writing");
+    for (const std::string* part : {&head, &covered, &blob}) {
+      out.write(part->data(), static_cast<std::streamsize>(part->size()));
+    }
+    out.flush();
+    if (!out) {
+      std::remove(tmp.c_str());
+      return Status::IoError("write failed: " + tmp);
     }
   }
-  out.flush();
-  if (!out) return Status::IoError("write failed: " + path);
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return Status::IoError("cannot rename " + tmp + " to " + path);
+  }
   return Status::OK();
-}
-
-bool IsBinaryCheckpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  char magic[sizeof(kBinMagic)] = {};
-  in.read(magic, sizeof(magic));
-  return in && std::memcmp(magic, kBinMagic, sizeof(kBinMagic)) == 0;
 }
 
 MappedCheckpoint::~MappedCheckpoint() {
@@ -186,7 +157,7 @@ Result<std::shared_ptr<const MappedCheckpoint>> MappedCheckpoint::Map(
     return Status::IoError("stat " + path + " failed");
   }
   const size_t len = static_cast<size_t>(st.st_size);
-  if (len < sizeof(kBinMagic) + sizeof(uint32_t)) {
+  if (len < kFixedBytes) {
     ::close(fd);
     return Status::InvalidArgument(path + " is too short to be a checkpoint");
   }
@@ -199,20 +170,43 @@ Result<std::shared_ptr<const MappedCheckpoint>> MappedCheckpoint::Map(
   ckpt->map_len_ = len;
   const uint8_t* bytes = static_cast<const uint8_t*>(base);
 
-  BinReader r(bytes, len);
-  char magic[sizeof(kBinMagic)];
-  uint32_t endian = 0;
-  if (!r.GetBytes(magic, sizeof(magic)) ||
-      std::memcmp(magic, kBinMagic, sizeof(magic)) != 0) {
-    return Status::InvalidArgument("not a scis-params v3 binary file: " + path);
+  BinReader fixed(bytes, len, 0);
+  char magic[sizeof(kMagic)];
+  uint32_t endian = 0, header_crc = 0, blob_crc = 0;
+  uint64_t blob_start = 0;
+  fixed.GetBytes(magic, sizeof(magic));
+  fixed.GetU32(&endian);
+  fixed.GetU32(&header_crc);
+  fixed.GetU32(&blob_crc);
+  fixed.GetU64(&blob_start);
+  if (std::memcmp(magic, kMagic, sizeof(magic)) != 0) {
+    return Status::InvalidArgument("not a scis checkpoint (magic scisck3c): " +
+                                   path);
   }
-  if (!r.GetU32(&endian) || endian != kEndianTag) {
+  if (endian != kEndianTag) {
     return Status::InvalidArgument("checkpoint endianness mismatch: " + path);
   }
+  // Verify both checksums before trusting any field they cover.
+  if (blob_start < kFixedBytes || blob_start > len ||
+      blob_start % kBlobAlign != 0 ||
+      Crc32(bytes + kHeaderCrcStart, blob_start - kHeaderCrcStart) !=
+          header_crc) {
+    return Status::InvalidArgument("checkpoint header checksum mismatch: " +
+                                   path);
+  }
+  if (Crc32(bytes + blob_start, len - blob_start) != blob_crc) {
+    return Status::InvalidArgument("checkpoint weight checksum mismatch: " +
+                                   path);
+  }
+
+  BinReader r(bytes, blob_start, kFixedBytes);
   CheckpointMeta& meta = ckpt->meta_;
   uint32_t d = 0;
-  if (!r.GetStr(&meta.model) || !r.GetU32(&d) || d == 0) {
-    return Status::InvalidArgument("truncated v3 header in " + path);
+  // Each column takes at least 12 schema bytes plus two normalizer doubles,
+  // which bounds d before anything is sized by it.
+  if (!r.GetStr(&meta.model) || !r.GetU32(&d) || d == 0 ||
+      d > blob_start / (3 * sizeof(uint32_t) + 2 * sizeof(double))) {
+    return Status::InvalidArgument("truncated header in " + path);
   }
   meta.columns.resize(d);
   for (CheckpointColumn& c : meta.columns) {
@@ -233,38 +227,25 @@ Result<std::shared_ptr<const MappedCheckpoint>> MappedCheckpoint::Map(
   if (!r.GetU32(&count) || count > (1u << 20)) {
     return Status::InvalidArgument("bad param count in " + path);
   }
-  struct PendingParam {
-    std::string name;
-    uint64_t rows, cols, offset;
-  };
-  std::vector<PendingParam> pending(count);
-  for (PendingParam& p : pending) {
-    if (!r.GetStr(&p.name) || !r.GetU64(&p.rows) || !r.GetU64(&p.cols) ||
-        !r.GetU64(&p.offset)) {
-      return Status::InvalidArgument("truncated param table in " + path);
-    }
-  }
-  const size_t blob_start =
-      (r.at() + kBlobAlign - 1) / kBlobAlign * kBlobAlign;
-  if (blob_start > len) {
-    return Status::InvalidArgument("truncated value blob in " + path);
-  }
   const size_t blob_doubles = (len - blob_start) / sizeof(double);
   const double* blob = reinterpret_cast<const double*>(bytes + blob_start);
   ckpt->params_.reserve(count);
-  for (PendingParam& p : pending) {
+  for (uint32_t id = 0; id < count; ++id) {
+    ParamView view;
+    uint64_t rows = 0, cols = 0, offset = 0;
+    if (!r.GetStr(&view.name) || !r.GetU64(&rows) || !r.GetU64(&cols) ||
+        !r.GetU64(&offset)) {
+      return Status::InvalidArgument("truncated param table in " + path);
+    }
     // Overflow-safe bounds check against the mapped blob.
-    if (p.rows == 0 || p.cols == 0 ||
-        p.cols > blob_doubles || p.rows > blob_doubles / p.cols ||
-        p.offset > blob_doubles - p.rows * p.cols) {
-      return Status::InvalidArgument("param '" + p.name +
+    if (rows == 0 || cols == 0 || cols > blob_doubles ||
+        rows > blob_doubles / cols || offset > blob_doubles - rows * cols) {
+      return Status::InvalidArgument("param '" + view.name +
                                      "' overruns the value blob in " + path);
     }
-    ParamView view;
-    view.name = std::move(p.name);
-    view.rows = static_cast<size_t>(p.rows);
-    view.cols = static_cast<size_t>(p.cols);
-    view.data = blob + p.offset;
+    view.rows = static_cast<size_t>(rows);
+    view.cols = static_cast<size_t>(cols);
+    view.data = blob + offset;
     ckpt->params_.push_back(std::move(view));
   }
   return std::shared_ptr<const MappedCheckpoint>(std::move(ckpt));
@@ -272,7 +253,6 @@ Result<std::shared_ptr<const MappedCheckpoint>> MappedCheckpoint::Map(
 
 Checkpoint MappedCheckpoint::ToCheckpoint() const {
   Checkpoint ckpt;
-  ckpt.version = 3;
   ckpt.meta = meta_;
   ckpt.params.reserve(params_.size());
   for (const ParamView& p : params_) {
@@ -283,136 +263,10 @@ Checkpoint MappedCheckpoint::ToCheckpoint() const {
   return ckpt;
 }
 
-Status SaveParams(const ParamStore& store, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot open " + path + " for writing");
-  out << "scis-params v1\n" << store.size() << "\n";
-  out << std::setprecision(17);
-  WriteParamBlock(out, store);
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::OK();
-}
-
-Status SaveCheckpoint(const ParamStore& store, const CheckpointMeta& meta,
-                      const std::string& path) {
-  if (meta.model.empty()) {
-    return Status::InvalidArgument("checkpoint meta needs a model tag");
-  }
-  if (meta.columns.empty() || meta.norm_lo.size() != meta.columns.size() ||
-      meta.norm_hi.size() != meta.columns.size()) {
-    return Status::InvalidArgument(
-        "checkpoint meta columns/normalizer sizes disagree");
-  }
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot open " + path + " for writing");
-  out << "scis-params v2\n";
-  out << "model " << meta.model << "\n";
-  out << "columns " << meta.columns.size() << "\n";
-  for (const CheckpointColumn& c : meta.columns) {
-    out << c.kind << " " << c.num_categories << " " << c.name << "\n";
-  }
-  out << std::setprecision(17);
-  out << "normalizer " << meta.columns.size() << "\n";
-  for (size_t j = 0; j < meta.norm_lo.size(); ++j) {
-    if (j) out << ' ';
-    out << meta.norm_lo[j];
-  }
-  out << "\n";
-  for (size_t j = 0; j < meta.norm_hi.size(); ++j) {
-    if (j) out << ' ';
-    out << meta.norm_hi[j];
-  }
-  out << "\n";
-  out << "params " << store.size() << "\n";
-  WriteParamBlock(out, store);
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::OK();
-}
-
 Result<Checkpoint> LoadCheckpoint(const std::string& path) {
-  if (IsBinaryCheckpoint(path)) {
-    SCIS_ASSIGN_OR_RETURN(std::shared_ptr<const MappedCheckpoint> mapped,
-                          MappedCheckpoint::Map(path));
-    return mapped->ToCheckpoint();
-  }
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::string magic, version;
-  in >> magic >> version;
-  if (!in || magic != "scis-params" ||
-      (version != "v1" && version != "v2")) {
-    return Status::InvalidArgument("not a scis-params v1/v2 file: " + path);
-  }
-  Checkpoint ckpt;
-  if (version == "v1") {
-    ckpt.version = 1;
-    size_t count = 0;
-    in >> count;
-    if (!in) return Status::IoError("truncated header in " + path);
-    SCIS_RETURN_NOT_OK(ReadParamBlock(in, count, path, &ckpt.params));
-    return ckpt;
-  }
-  ckpt.version = 2;
-  SCIS_RETURN_NOT_OK(ExpectKeyword(in, "model", path));
-  in >> ckpt.meta.model;
-  if (!in) return Status::IoError("truncated model tag in " + path);
-  SCIS_RETURN_NOT_OK(ExpectKeyword(in, "columns", path));
-  size_t d = 0;
-  in >> d;
-  if (!in || d == 0) {
-    return Status::InvalidArgument("bad column count in " + path);
-  }
-  ckpt.meta.columns.resize(d);
-  for (size_t j = 0; j < d; ++j) {
-    CheckpointColumn& c = ckpt.meta.columns[j];
-    in >> c.kind >> c.num_categories;
-    if (!in) return Status::IoError("truncated column schema in " + path);
-    // The name is the rest of the line (CSV headers may contain spaces).
-    std::getline(in, c.name);
-    if (!c.name.empty() && c.name.front() == ' ') c.name.erase(0, 1);
-  }
-  SCIS_RETURN_NOT_OK(ExpectKeyword(in, "normalizer", path));
-  size_t nd = 0;
-  in >> nd;
-  if (!in || nd != d) {
-    return Status::InvalidArgument("normalizer size disagrees with columns in " +
-                                   path);
-  }
-  ckpt.meta.norm_lo.resize(d);
-  ckpt.meta.norm_hi.resize(d);
-  for (size_t j = 0; j < d; ++j) in >> ckpt.meta.norm_lo[j];
-  for (size_t j = 0; j < d; ++j) in >> ckpt.meta.norm_hi[j];
-  if (!in) return Status::IoError("truncated normalizer stats in " + path);
-  SCIS_RETURN_NOT_OK(ExpectKeyword(in, "params", path));
-  size_t count = 0;
-  in >> count;
-  if (!in) return Status::IoError("truncated params header in " + path);
-  SCIS_RETURN_NOT_OK(ReadParamBlock(in, count, path, &ckpt.params));
-  return ckpt;
-}
-
-Status LoadParams(ParamStore& store, const std::string& path) {
-  SCIS_ASSIGN_OR_RETURN(Checkpoint ckpt, LoadCheckpoint(path));
-  if (ckpt.params.size() != store.size()) {
-    return Status::InvalidArgument(
-        "parameter count mismatch: file has " +
-        std::to_string(ckpt.params.size()) + ", store has " +
-        std::to_string(store.size()));
-  }
-  for (size_t id = 0; id < ckpt.params.size(); ++id) {
-    const NamedParam& p = ckpt.params[id];
-    if (p.name != store.name(id)) {
-      return Status::InvalidArgument("parameter name mismatch at index " +
-                                     std::to_string(id) + ": file '" + p.name +
-                                     "' vs store '" + store.name(id) + "'");
-    }
-    Matrix& m = store.value(id);
-    if (p.value.rows() != m.rows() || p.value.cols() != m.cols()) {
-      return Status::InvalidArgument("shape mismatch for " + p.name);
-    }
-    m = p.value;
-  }
-  return Status::OK();
+  SCIS_ASSIGN_OR_RETURN(std::shared_ptr<const MappedCheckpoint> mapped,
+                        MappedCheckpoint::Map(path));
+  return mapped->ToCheckpoint();
 }
 
 }  // namespace scis

@@ -1,30 +1,13 @@
-// Parameter (de)serialization: a plain-text format so trained models can
-// be checkpointed and shipped (e.g. train SCIS once, impute many files
-// with scis_impute, or serve them online with scis_serve).
+// Checkpoint (de)serialization: one binary, checksummed, mmap-able format,
+// so trained models can be shipped and served (train SCIS once, impute many
+// files with scis_impute, or serve them online with scis_serve).
 //
-// v1 (weights only, legacy):
-//   scis-params v1
-//   <num_params>
-//   <name> <rows> <cols>
-//   <rows*cols doubles, space-separated, full precision>
-//   ...
-//
-// v2 (self-contained: weights + the metadata needed to impute new rows):
-//   scis-params v2
-//   model <architecture tag, e.g. GAIN>
-//   columns <d>
-//   <kind:int> <num_categories:int> <name, rest of line>   x d
-//   normalizer <d>
-//   <d lo values>
-//   <d hi values>
-//   params <num_params>
-//   <name> <rows> <cols>
-//   <values>
-//   ...
-//
-// v3 (binary, mmap-able — the serving fleet's cold-start format):
-//   [8 bytes]  magic "scisckp3"
+// Layout (v3):
+//   [8 bytes]  magic "scisck3c"
 //   [u32]      endian tag 0x01020304 (little-endian files only)
+//   [u32]      header CRC-32 over bytes [16, blob offset)
+//   [u32]      blob CRC-32 over bytes [blob offset, end of file)
+//   [u64]      blob offset (64-byte aligned)
 //   [u32]      model tag length, then the tag bytes
 //   [u32]      column count d, then per column:
 //                [u32 kind][u32 num_categories][u32 name_len][name bytes]
@@ -32,16 +15,16 @@
 //   [u32]      param count, then per param:
 //                [u32 name_len][name bytes][u64 rows][u64 cols]
 //                [u64 offset]  — element offset into the value blob
-//   [pad]      zero padding to a 64-byte boundary
+//   [pad]      zero padding to the blob offset
 //   [blob]     all parameter values, row-major f64, each param aligned to
 //              64 bytes within the blob
 // Integers and doubles are little-endian host layout; the whole file can be
 // mmap-ed and the value blob used in place (zero-copy weight loading via
 // MappedCheckpoint — engines keep the mapping alive for as long as they
-// serve from it).
-//
-// LoadParams/LoadCheckpoint accept all three versions, so checkpoints
-// written before the serving subsystem keep loading.
+// serve from it). Every byte past the endian tag is a checksum or covered
+// by one, so a flipped bit anywhere is refused on load instead of served.
+// Files without checksums (magic "scisckp3") and the retired "scis-params"
+// text formats fail the magic check.
 #ifndef SCIS_NN_SERIALIZE_H_
 #define SCIS_NN_SERIALIZE_H_
 
@@ -77,29 +60,18 @@ struct NamedParam {
 };
 
 struct Checkpoint {
-  int version = 0;  // 1 = weights only, 2 = self-contained
   CheckpointMeta meta;
   std::vector<NamedParam> params;
 };
 
-// Writes every parameter in `store` to `path` (v1, weights only).
-Status SaveParams(const ParamStore& store, const std::string& path);
-
-// Writes a self-contained v2 checkpoint: `meta` plus every parameter in
-// `store`. meta.columns / norm_lo / norm_hi must agree in size.
-Status SaveCheckpoint(const ParamStore& store, const CheckpointMeta& meta,
-                      const std::string& path);
-
-// Writes a self-contained v3 binary checkpoint (see format above). Same
-// content as SaveCheckpoint, but mmap-able: MappedCheckpoint::Map serves the
-// weights straight out of the page cache with zero copies.
+// Writes a self-contained checkpoint (see format above): `meta` plus every
+// parameter in `store`. meta.model must be set and meta.columns / norm_lo /
+// norm_hi must agree in size. The file is written beside `path` and renamed
+// over it, so existing mappings of `path` keep the previous contents.
 Status SaveCheckpointBinary(const ParamStore& store, const CheckpointMeta& meta,
                             const std::string& path);
 
-// True when the file starts with the v3 binary magic.
-bool IsBinaryCheckpoint(const std::string& path);
-
-// A v3 checkpoint mapped read-only into memory. Parameter values are views
+// A checkpoint mapped read-only into memory. Parameter values are views
 // into the mapping (no copies); holders of a view must keep the
 // MappedCheckpoint alive, which is why Map hands out a shared_ptr.
 class MappedCheckpoint {
@@ -110,6 +82,9 @@ class MappedCheckpoint {
     const double* data = nullptr;  // rows*cols doubles inside the mapping
   };
 
+  // Maps `path` and verifies both checksums before trusting any field.
+  // IoError when the file cannot be opened or mapped; InvalidArgument for a
+  // wrong magic, a checksum mismatch, or a truncated or malformed layout.
   static Result<std::shared_ptr<const MappedCheckpoint>> Map(
       const std::string& path);
 
@@ -120,8 +95,8 @@ class MappedCheckpoint {
   const CheckpointMeta& meta() const { return meta_; }
   const std::vector<ParamView>& params() const { return params_; }
 
-  // Deep-copies into an owning Checkpoint (version 3) — the compatibility
-  // bridge for LoadCheckpoint/LoadParams callers.
+  // Deep-copies into an owning Checkpoint (retraining needs mutable
+  // weights that outlive the mapping).
   Checkpoint ToCheckpoint() const;
 
  private:
@@ -133,16 +108,9 @@ class MappedCheckpoint {
   size_t map_len_ = 0;
 };
 
-// Reads a v1, v2, or v3 checkpoint without needing a pre-built store (the
-// serving path, which reconstructs the network from the file alone). v3
-// files are mapped, copied, and unmapped; use MappedCheckpoint::Map directly
-// to keep the zero-copy views.
+// Map + ToCheckpoint: an owning copy for callers that rebuild a trainable
+// model (lifecycle, benches). Serving maps directly and stays zero-copy.
 Result<Checkpoint> LoadCheckpoint(const std::string& path);
-
-// Restores values into an already-built `store`; parameter names, count,
-// order, and shapes must match exactly (architecture is not rebuilt).
-// Accepts v1 and v2 files; v2 metadata is ignored.
-Status LoadParams(ParamStore& store, const std::string& path);
 
 }  // namespace scis
 

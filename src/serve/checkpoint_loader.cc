@@ -14,7 +14,7 @@ Result<std::shared_ptr<const ImputationEngine>> LoadAndValidateCheckpoint(
   if (expect_cols != 0 && (*engine)->num_cols() != expect_cols) {
     return Status::InvalidArgument(
         "checkpoint " + path + " serves " +
-        std::to_string((*engine)->num_cols()) + " columns, fleet expects " +
+        std::to_string((*engine)->num_cols()) + " columns, server expects " +
         std::to_string(expect_cols) + " — refusing the swap");
   }
 

@@ -1,19 +1,21 @@
-// Shared load-and-validate path for checkpoints entering a *running* fleet.
+// Shared load-and-validate path for checkpoints entering a *running*
+// server.
 //
 // Two callers hot-swap models under traffic — scis_serve's SIGHUP reload
 // and the lifecycle CheckpointPublisher — and both must apply the same
 // acceptance rules or swap behaviour diverges between the operator path and
-// the automated path. The rules beyond what ImputationEngine::Load already
-// enforces (parseable file, (W,b) layer structure, schema/normalizer
-// agreement):
+// the automated path. ImputationEngine::Load already refuses a file whose
+// magic, header checksum or weight checksum does not verify (a flipped bit
+// never gets served), and checks the (W,b) layer structure and
+// schema/normalizer agreement. The rules beyond that:
 //
 //   * schema width: when `expect_cols` is non-zero the checkpoint must
 //     serve exactly that many columns, otherwise the swap would be silently
-//     unroutable (EngineFleet::HotSwap keys models by width);
+//     unroutable (ImputationServer::HotSwap keys models by width);
 //   * serveability probe: a single all-missing row is imputed through the
 //     loaded engine and every output cell must be finite — a checkpoint
 //     whose weights went NaN during retraining is rejected here, before it
-//     ever reaches the fleet.
+//     is ever served.
 #ifndef SCIS_SERVE_CHECKPOINT_LOADER_H_
 #define SCIS_SERVE_CHECKPOINT_LOADER_H_
 
@@ -24,7 +26,7 @@
 
 namespace scis::serve {
 
-// Loads a v2/v3 checkpoint from `path` and validates it for hot-swap.
+// Maps the checkpoint at `path` and validates it for hot-swap.
 // `expect_cols` = 0 skips the width check (multi-model reload, where
 // HotSwap itself resolves the hosted model). InvalidArgument on a width
 // mismatch; Internal when the probe row imputes to non-finite values.

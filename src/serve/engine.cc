@@ -10,13 +10,9 @@ namespace scis::serve {
 
 Result<std::shared_ptr<const ImputationEngine>> ImputationEngine::Load(
     const std::string& path) {
-  if (IsBinaryCheckpoint(path)) {
-    SCIS_ASSIGN_OR_RETURN(std::shared_ptr<const MappedCheckpoint> mapped,
-                          MappedCheckpoint::Map(path));
-    return FromMapped(std::move(mapped));
-  }
-  SCIS_ASSIGN_OR_RETURN(Checkpoint ckpt, LoadCheckpoint(path));
-  return FromCheckpoint(ckpt);
+  SCIS_ASSIGN_OR_RETURN(std::shared_ptr<const MappedCheckpoint> mapped,
+                        MappedCheckpoint::Map(path));
+  return FromMapped(std::move(mapped));
 }
 
 Result<std::shared_ptr<const ImputationEngine>> ImputationEngine::Load(
@@ -39,7 +35,7 @@ Result<std::shared_ptr<const ImputationEngine>> ImputationEngine::FromMapped(
     refs.push_back({&p.name, p.rows, p.cols, p.data});
   }
   SCIS_ASSIGN_OR_RETURN(std::shared_ptr<ImputationEngine> engine,
-                        BuildFromParts(3, mapped->meta(), refs));
+                        BuildFromParts(mapped->meta(), refs));
   engine->mapped_ = std::move(mapped);  // keep the mmap alive for the views
   return std::shared_ptr<const ImputationEngine>(std::move(engine));
 }
@@ -81,7 +77,7 @@ Result<std::shared_ptr<ImputationEngine>> ImputationEngine::BuildFromCheckpoint(
     refs.push_back({&p.name, p.value.rows(), p.value.cols(), p.value.data()});
   }
   SCIS_ASSIGN_OR_RETURN(std::shared_ptr<ImputationEngine> engine,
-                        BuildFromParts(ckpt.version, ckpt.meta, refs));
+                        BuildFromParts(ckpt.meta, refs));
   // Copy the weights into engine-owned storage and retarget the views: the
   // caller's Checkpoint may not outlive the engine. Matrix moves keep their
   // heap buffers, so the views stay valid as owned_ grows.
@@ -98,13 +94,7 @@ Result<std::shared_ptr<ImputationEngine>> ImputationEngine::BuildFromCheckpoint(
 }
 
 Result<std::shared_ptr<ImputationEngine>> ImputationEngine::BuildFromParts(
-    int version, const CheckpointMeta& meta,
-    const std::vector<ParamRef>& params) {
-  if (version < 2) {
-    return Status::InvalidArgument(
-        "checkpoint is not self-contained (v1: weights only); re-save with "
-        "scis_impute --save_params to get normalizer stats and schema");
-  }
+    const CheckpointMeta& meta, const std::vector<ParamRef>& params) {
   if (meta.model != "GAIN") {
     return Status::NotImplemented("serving supports feedforward GAIN-style "
                                   "generators; checkpoint model is '" +

@@ -1,5 +1,5 @@
-// ImputationEngine: the inference half of the stack. Loads a self-contained
-// v2 checkpoint (generator weights + normalizer stats + column schema) once
+// ImputationEngine: the inference half of the stack. Maps a self-contained
+// checkpoint (generator weights + normalizer stats + column schema) once
 // and answers imputation requests on raw rows — the serving shape GAN-based
 // imputers assume when deployed on live incomplete records.
 //
@@ -44,11 +44,10 @@ struct RetrievalOptions {
 
 class ImputationEngine {
  public:
-  // Loads a v2 (text) or v3 (binary) checkpoint from disk. v1 checkpoints
-  // are rejected: they lack the normalizer stats and schema needed to handle
-  // raw rows. v3 files are mmap-ed and served zero-copy: the engine's weight
-  // views point into the page-cache-backed mapping, so a fleet hosting many
-  // models cold-starts without materializing any weight buffers.
+  // Maps a checkpoint (MappedCheckpoint::Map, checksums verified) and
+  // serves it zero-copy: the engine's weight views point into the
+  // page-cache-backed mapping, so a server hosting many models cold-starts
+  // without materializing any weight buffers.
   static Result<std::shared_ptr<const ImputationEngine>> Load(
       const std::string& path);
 
@@ -62,7 +61,7 @@ class ImputationEngine {
   static Result<std::shared_ptr<const ImputationEngine>> FromCheckpoint(
       const Checkpoint& ckpt);
 
-  // Builds an engine over a mapped v3 checkpoint. Weights are served
+  // Builds an engine over a mapped checkpoint. Weights are served
   // directly out of the mapping (zero-copy); the engine shares ownership of
   // the mapping for its lifetime.
   static Result<std::shared_ptr<const ImputationEngine>> FromMapped(
@@ -113,8 +112,7 @@ class ImputationEngine {
   static Result<std::shared_ptr<ImputationEngine>> BuildFromCheckpoint(
       const Checkpoint& ckpt);
   static Result<std::shared_ptr<ImputationEngine>> BuildFromParts(
-      int version, const CheckpointMeta& meta,
-      const std::vector<ParamRef>& params);
+      const CheckpointMeta& meta, const std::vector<ParamRef>& params);
 
   std::string model_;
   std::vector<ColumnMeta> columns_;

@@ -57,7 +57,7 @@ struct ImputationServer::Conn {
   FrameReader reader;
   std::vector<uint8_t> scratch;  // recv staging, reused across events
 
-  // Replies must leave in request order, but shard completions land in any
+  // Replies must leave in request order, but batch completions land in any
   // order: each request takes a sequence number at dispatch and its reply
   // waits in `pending` until every earlier reply has been staged.
   uint64_t next_seq = 0;       // assigned to the next request
@@ -94,9 +94,22 @@ ImputationServer::~ImputationServer() { Shutdown(); }
 
 Status ImputationServer::Start() {
   if (listen_fd_ >= 0) return Status::AlreadyExists("server already started");
-  SCIS_ASSIGN_OR_RETURN(
-      fleet_, EngineFleet::Create(models_, opts_.shards, opts_.queue));
-  models_.clear();  // the fleet owns the engines now
+  for (const std::shared_ptr<const ImputationEngine>& engine : models_) {
+    const size_t cols = engine->num_cols();
+    if (Route(cols).ok()) {
+      hosted_.clear();
+      return Status::InvalidArgument(
+          "two models serve " + std::to_string(cols) +
+          "-column schemas; request routing is by column count, so schema "
+          "widths must be unique");
+    }
+    HostedModel hosted;
+    hosted.cols = cols;
+    hosted.slot = std::make_shared<EngineSlot>(engine);
+    hosted.queue = std::make_unique<BatchQueue>(hosted.slot, opts_.queue);
+    hosted_.push_back(std::move(hosted));
+  }
+  models_.clear();  // the slots own the engines now
 
   SCIS_ASSIGN_OR_RETURN(int listen_fd,
                         ListenTcp(opts_.host, opts_.port, 128, &port_));
@@ -135,8 +148,29 @@ Status ImputationServer::Start() {
 
 Status ImputationServer::HotSwap(
     std::shared_ptr<const ImputationEngine> next) {
-  if (fleet_ == nullptr) return Status::Unavailable("server not started");
-  return fleet_->HotSwap(std::move(next));
+  if (hosted_.empty()) return Status::Unavailable("server not started");
+  if (next == nullptr) return Status::InvalidArgument("null engine");
+  for (HostedModel& hosted : hosted_) {
+    if (hosted.cols == next->num_cols()) {
+      return hosted.slot->Swap(std::move(next));
+    }
+  }
+  return Status::NotFound("no hosted model serves a " +
+                          std::to_string(next->num_cols()) +
+                          "-column schema; hot-swap cannot add models");
+}
+
+Result<BatchQueue*> ImputationServer::Route(size_t cols) const {
+  for (const HostedModel& hosted : hosted_) {
+    if (hosted.cols == cols) return hosted.queue.get();
+  }
+  std::string widths;
+  for (const HostedModel& hosted : hosted_) {
+    if (!widths.empty()) widths += ", ";
+    widths += std::to_string(hosted.cols);
+  }
+  return Status::InvalidArgument("request has " + std::to_string(cols) +
+                                 " columns; hosted models expect " + widths);
 }
 
 void ImputationServer::WakeLoop() {
@@ -201,12 +235,7 @@ bool ImputationServer::ProcessFrames(uint64_t id, Conn* conn) {
           StageReply(conn, seq, MakeErrorFrame(rows.status()));
           break;
         }
-        // Deterministic routing: model by schema width, shard by payload
-        // hash — a replayed request always lands on the same shard.
-        const uint64_t hash = EngineFleet::HashBytes(frame.payload.data(),
-                                                     frame.payload.size());
-        Result<BatchQueue*> queue =
-            fleet_->Route(rows.value().cols(), hash);
+        Result<BatchQueue*> queue = Route(rows.value().cols());
         if (!queue.ok()) {
           StageReply(conn, seq, MakeErrorFrame(queue.status()));
           break;
@@ -478,7 +507,7 @@ void ImputationServer::Shutdown() {
   }
   // Queue callbacks only touch the completion queue and the eventfd, both
   // still alive here; their completions are discarded.
-  if (fleet_ != nullptr) fleet_->Shutdown();
+  for (HostedModel& hosted : hosted_) hosted.queue->Shutdown();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;

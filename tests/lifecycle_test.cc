@@ -224,11 +224,23 @@ TEST(LifecycleTapTest, DropsInsteadOfBlockingWhenFull) {
   fs::remove_all(dir);
 }
 
+// Flips one bit of the byte `from_end` bytes before the end of `path` —
+// inside the weight blob for any checkpoint this file writes.
+void FlipByteFromEnd(const std::string& path, size_t from_end) {
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, -static_cast<long>(from_end), SEEK_END), 0);
+  const int c = std::fgetc(f);
+  ASSERT_NE(c, EOF);
+  ASSERT_EQ(std::fseek(f, -1, SEEK_CUR), 0);
+  std::fputc(c ^ 0x04, f);
+  std::fclose(f);
+}
+
 // A GAIN-shaped checkpoint with random weights, wide enough to serve.
 Checkpoint MakeCheckpoint(size_t d, uint64_t seed) {
   Rng rng(seed);
   Checkpoint ckpt;
-  ckpt.version = 3;
   ckpt.meta.model = "GAIN";
   for (size_t j = 0; j < d; ++j) {
     ckpt.meta.columns.push_back({"c" + std::to_string(j), 0, 0});
@@ -317,6 +329,12 @@ TEST(CheckpointLoaderTest, LoadsValidatesAndRefusesWidthMismatch) {
                 .code(),
             StatusCode::kInvalidArgument);
 
+  // A flipped weight bit fails the blob checksum (the finiteness probe
+  // alone would have let a finite-but-wrong weight through).
+  FlipByteFromEnd(path, 100);
+  EXPECT_EQ(serve::LoadAndValidateCheckpoint(path).status().code(),
+            StatusCode::kInvalidArgument);
+
   // Garbage never reaches the fleet.
   std::FILE* f = std::fopen(path.c_str(), "wb");
   std::fputs("not a checkpoint", f);
@@ -358,6 +376,41 @@ TEST(CheckpointPublisherTest, PublishesGenerationsAndRollsBackFailedSwap) {
   EXPECT_FALSE(rejected.ok());
   EXPECT_EQ(bad_pub.generation(), 0u);
   EXPECT_TRUE(fs::is_empty(dir + "/bad"));
+  fs::remove_all(dir);
+}
+
+// A generation corrupted between write and deploy is rolled back: no
+// swap, no generation advance, no file left behind.
+TEST(CheckpointPublisherTest, RollsBackCorruptedGeneration) {
+  const std::string dir = TmpDir("publish_corrupt", 1);
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const Checkpoint ckpt = MakeCheckpoint(4, 25);
+  Rng rng(27);
+  const Matrix validation = RandomRows(rng, 4, 4, 0.5);
+  int swaps = 0;
+  lifecycle::CheckpointPublisher pub(
+      dir, [&swaps](std::shared_ptr<const serve::ImputationEngine>) {
+        ++swaps;
+        return Status::OK();
+      });
+
+  const std::string path = dir + "/gen-000001.bin";
+  ASSERT_TRUE(SaveCheckpointBinary(ToParamStore(ckpt), ckpt.meta, path).ok());
+  FlipByteFromEnd(path, 200);
+  Result<std::string> deployed = pub.Deploy(path, 4, validation);
+  EXPECT_EQ(deployed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(swaps, 0);
+  EXPECT_EQ(pub.generation(), 0u);
+  EXPECT_FALSE(fs::exists(path));
+
+  // The same weights written intact deploy as generation 1.
+  Result<std::string> published =
+      pub.Publish(ToParamStore(ckpt), ckpt.meta, validation);
+  ASSERT_TRUE(published.ok()) << published.status().ToString();
+  EXPECT_EQ(*published, path);
+  EXPECT_EQ(swaps, 1);
+  EXPECT_EQ(pub.generation(), 1u);
   fs::remove_all(dir);
 }
 

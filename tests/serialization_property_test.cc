@@ -1,6 +1,6 @@
-// Round-trip properties for the two text formats: CSV datasets (missing
-// cells as empty fields) and scis-params checkpoints. Both promise bit-exact
-// double round trips (max_digits10), so the properties compare with
+// Round-trip properties for the two on-disk formats: CSV datasets (missing
+// cells as empty fields, max_digits10 text) and binary checkpoints. Both
+// promise bit-exact double round trips, so the properties compare with
 // operator== — not AllClose.
 #include <gtest/gtest.h>
 
@@ -104,18 +104,28 @@ TEST(SerializationPropertyTest, ParamStoreRoundTripsBitExact) {
 
     ParamStore saved_store;
     auto mlp = testkit::BuildMlp(&saved_store, "rt.G", config);
+    CheckpointMeta meta;
+    meta.model = "MLP";
+    meta.columns.assign(in_dim, CheckpointColumn{});
+    meta.norm_lo.assign(in_dim, 0.0);
+    meta.norm_hi.assign(in_dim, 1.0);
     const std::string path = TmpPath("params", seed);
-    const Status ws = SaveParams(saved_store, path);
+    const Status ws = SaveCheckpointBinary(saved_store, meta, path);
     PROP_CHECK_MSG(ws.ok(), ws.message());
+    Result<Checkpoint> loaded = LoadCheckpoint(path);
+    std::remove(path.c_str());
+    PROP_CHECK_MSG(loaded.ok(), loaded.status().message());
 
-    // Same architecture, different init — loading must overwrite exactly.
+    // Same architecture, different init — restoring must overwrite exactly.
     MlpConfig other = config;
     other.init_seed = config.init_seed + 1;
     ParamStore loaded_store;
     auto mlp2 = testkit::BuildMlp(&loaded_store, "rt.G", other);
-    const Status ls = LoadParams(loaded_store, path);
-    std::remove(path.c_str());
-    PROP_CHECK_MSG(ls.ok(), ls.message());
+    PROP_CHECK(loaded->params.size() == loaded_store.size());
+    for (size_t id = 0; id < loaded_store.size(); ++id) {
+      PROP_CHECK(loaded->params[id].name == loaded_store.name(id));
+      loaded_store.value(id) = loaded->params[id].value;
+    }
 
     const std::vector<double> a = saved_store.ToFlat();
     const std::vector<double> b = loaded_store.ToFlat();

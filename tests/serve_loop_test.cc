@@ -1,6 +1,6 @@
 // Adversarial and scale tests for the event-driven server: hostile client
 // behavior (dribbling writers, mid-frame disconnects, slow readers),
-// pipelined request ordering, concurrent-connection fan-in, shard-count
+// pipelined request ordering, concurrent-connection fan-in with
 // bit-identity against the offline engine, multi-model routing, and
 // hot-swap under traffic.
 #include <gtest/gtest.h>
@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "runtime/runtime.h"
 #include "serve/client.h"
 #include "serve/engine.h"
 #include "serve/server.h"
@@ -45,7 +46,6 @@ bool BitIdentical(const Matrix& a, const Matrix& b) {
 Checkpoint MakeCheckpoint(size_t d, uint64_t seed) {
   Rng rng(seed);
   Checkpoint ckpt;
-  ckpt.version = 2;
   ckpt.meta.model = "GAIN";
   for (size_t j = 0; j < d; ++j) {
     ckpt.meta.columns.push_back({"c" + std::to_string(j), 0, 0});
@@ -138,6 +138,16 @@ class RawClient {
   FrameReader reader_;
 };
 
+// Restores the runtime thread count on scope exit.
+class ThreadsGuard {
+ public:
+  ThreadsGuard() : saved_(runtime::NumThreads()) {}
+  ~ThreadsGuard() { runtime::SetNumThreads(saved_); }
+
+ private:
+  int saved_;
+};
+
 ServerOptions FastOptions() {
   ServerOptions opts;
   opts.queue.max_wait_ms = 0.5;
@@ -193,11 +203,14 @@ TEST(ServeLoopTest, MidFrameDisconnectLeavesServerServing) {
 }
 
 // Pipelined requests on one connection answer strictly in request order,
-// even though shard completions can land out of order inside the server.
+// even though batches run concurrently on the runtime pool and their
+// completions can land out of order inside the server.
 TEST(ServeLoopTest, PipelinedRequestsAnswerInOrder) {
+  ThreadsGuard threads;
+  runtime::SetNumThreads(4);
   std::shared_ptr<const ImputationEngine> engine = MakeEngine(4, 107);
   ServerOptions opts = FastOptions();
-  opts.shards = 4;  // different requests land on different shards
+  opts.queue.max_batch_rows = 1;  // every request its own batch
   ImputationServer server(engine, opts);
   ASSERT_TRUE(server.Start().ok());
 
@@ -255,13 +268,11 @@ TEST(ServeLoopTest, SlowReaderForcesPartialWriteBuffering) {
   }
 }
 
-// ISSUE-7 acceptance: >= 64 concurrent loopback connections across >= 2
-// shards, every response bit-identical to the offline engine.
-TEST(ServeLoopTest, Sustains64ConnectionsAcrossTwoShards) {
+// >= 64 concurrent loopback connections fanning into one model queue,
+// every response bit-identical to the offline engine.
+TEST(ServeLoopTest, Sustains64Connections) {
   std::shared_ptr<const ImputationEngine> engine = MakeEngine(5, 113);
-  ServerOptions opts = FastOptions();
-  opts.shards = 2;
-  ImputationServer server(engine, opts);
+  ImputationServer server(engine, FastOptions());
   ASSERT_TRUE(server.Start().ok());
 
   constexpr int kClients = 64;
@@ -285,51 +296,14 @@ TEST(ServeLoopTest, Sustains64ConnectionsAcrossTwoShards) {
   EXPECT_EQ(ok_count.load(), kClients);
 }
 
-// Sharding must never change served bytes: the same requests against S=1
-// and S=4 servers yield byte-identical responses, equal to the offline
-// engine output (the scis_impute path).
-TEST(ServeLoopTest, ShardCountDoesNotChangeServedBytes) {
-  std::shared_ptr<const ImputationEngine> engine = MakeEngine(6, 127);
-  Rng rng(25);
-  constexpr size_t kRequests = 12;
-  std::vector<Matrix> inputs;
-  for (size_t k = 0; k < kRequests; ++k) {
-    inputs.push_back(RandomRows(rng, 1 + rng.UniformIndex(6), 6, 0.35));
-  }
-
-  std::vector<std::vector<Matrix>> served;  // [config][request]
-  for (const size_t shards : {size_t{1}, size_t{4}}) {
-    ServerOptions opts = FastOptions();
-    opts.shards = shards;
-    ImputationServer server(engine, opts);
-    ASSERT_TRUE(server.Start().ok());
-    Result<std::unique_ptr<ImputationClient>> client =
-        ImputationClient::Connect("127.0.0.1", server.port());
-    ASSERT_TRUE(client.ok());
-    std::vector<Matrix> replies;
-    for (const Matrix& rows : inputs) {
-      Result<Matrix> got = (*client)->Impute(rows);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      replies.push_back(std::move(got).value());
-    }
-    served.push_back(std::move(replies));
-  }
-  for (size_t k = 0; k < kRequests; ++k) {
-    const Matrix offline = engine->ImputeBatch(inputs[k]).value();
-    EXPECT_TRUE(BitIdentical(offline, served[0][k])) << "S=1 request " << k;
-    EXPECT_TRUE(BitIdentical(served[0][k], served[1][k]))
-        << "S=1 vs S=4 request " << k;
-  }
-}
-
-// Multi-model fleets route by request width; unknown widths are client
-// errors, not crashes.
+// Several models route by request width, one queue each; unknown widths
+// are client errors, not crashes, and duplicate widths are refused.
 TEST(ServeLoopTest, MultiModelRoutesByColumnCount) {
   std::shared_ptr<const ImputationEngine> narrow = MakeEngine(3, 131);
   std::shared_ptr<const ImputationEngine> wide = MakeEngine(5, 137);
-  ServerOptions opts = FastOptions();
-  opts.shards = 2;
-  ImputationServer server({narrow, wide}, opts);
+  ImputationServer ambiguous({narrow, MakeEngine(3, 133)}, FastOptions());
+  EXPECT_EQ(ambiguous.Start().code(), StatusCode::kInvalidArgument);
+  ImputationServer server({narrow, wide}, FastOptions());
   ASSERT_TRUE(server.Start().ok());
 
   Rng rng(26);

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
+#include <filesystem>
 #include <limits>
 #include <mutex>
 #include <thread>
@@ -50,11 +51,10 @@ bool BitIdentical(const Matrix& a, const Matrix& b) {
   return true;
 }
 
-// A valid random GAIN-shaped v2 checkpoint: 2d -> d -> d, sigmoid output.
+// A valid random GAIN-shaped checkpoint: 2d -> d -> d, sigmoid output.
 Checkpoint MakeCheckpoint(size_t d, uint64_t seed) {
   Rng rng(seed);
   Checkpoint ckpt;
-  ckpt.version = 2;
   ckpt.meta.model = "GAIN";
   for (size_t j = 0; j < d; ++j) {
     ckpt.meta.columns.push_back({"c" + std::to_string(j), 0, 0});
@@ -284,10 +284,38 @@ TEST(ServeWireTest, ErrorFrameRoundTripsEveryStatusCode) {
 // ---------------------------------------------------------------------------
 
 TEST(ServeEngineTest, RejectsNonServableCheckpoints) {
-  Checkpoint v1 = MakeCheckpoint(3, 1);
-  v1.version = 1;
-  EXPECT_EQ(ImputationEngine::FromCheckpoint(v1).status().code(),
+  // A retired scis-params text file is refused, not half-read.
+  const std::string path = "/tmp/scis_serve_nonservable.ckpt";
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::fputs("scis-params v1\n1\nw 1 2\n1.5 -2.25\n", f);
+  std::fclose(f);
+  EXPECT_EQ(ImputationEngine::Load(path).status().code(),
             StatusCode::kInvalidArgument);
+
+  // One flipped byte in the header or in the weight blob fails its
+  // checksum: a corrupted checkpoint is never served.
+  const Checkpoint good = MakeCheckpoint(3, 1);
+  ParamStore store;
+  for (const NamedParam& p : good.params) store.Add(p.name, p.value);
+  ASSERT_TRUE(SaveCheckpointBinary(store, good.meta, path).ok());
+  ASSERT_TRUE(ImputationEngine::Load(path).ok());
+  std::vector<char> bytes(static_cast<size_t>(
+      std::filesystem::file_size(path)));
+  f = std::fopen(path.c_str(), "rb");
+  ASSERT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+  for (const size_t at : {size_t{40}, bytes.size() - 100}) {
+    std::vector<char> flipped = bytes;
+    flipped[at] ^= 0x10;
+    f = std::fopen(path.c_str(), "wb");
+    std::fwrite(flipped.data(), 1, flipped.size(), f);
+    std::fclose(f);
+    EXPECT_EQ(ImputationEngine::Load(path).status().code(),
+              StatusCode::kInvalidArgument)
+        << "flipped byte " << at;
+  }
+  std::remove(path.c_str());
 
   Checkpoint ginn = MakeCheckpoint(3, 1);
   ginn.meta.model = "GINN";
@@ -367,8 +395,8 @@ TEST(ServeEngineTest, MatchesOfflineImputerBitExact) {
   }
   meta.norm_lo = norm.lo();
   meta.norm_hi = norm.hi();
-  const std::string path = "/tmp/scis_serve_engine_ckpt.txt";
-  ASSERT_TRUE(SaveCheckpoint(gain.generator_params(), meta, path).ok());
+  const std::string path = "/tmp/scis_serve_engine_ckpt.bin";
+  ASSERT_TRUE(SaveCheckpointBinary(gain.generator_params(), meta, path).ok());
   Result<std::shared_ptr<const ImputationEngine>> engine =
       ImputationEngine::Load(path);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
@@ -385,17 +413,16 @@ TEST(ServeEngineTest, MatchesOfflineImputerBitExact) {
   EXPECT_TRUE(BitIdentical(offline, served.value()));
 }
 
-// A v3 binary checkpoint served zero-copy out of the mmap produces the
-// same bits as the same weights loaded through the owning text path.
+// A checkpoint served zero-copy out of the mmap produces the same bits as
+// the same weights held in an owning in-memory Checkpoint.
 TEST(ServeEngineTest, MappedV3CheckpointServesBitIdentical) {
   const Checkpoint ckpt = MakeCheckpoint(4, 91);
   ParamStore store;
   for (const NamedParam& p : ckpt.params) store.Add(p.name, p.value);
   const std::string path = "/tmp/scis_serve_v3_engine.bin";
   ASSERT_TRUE(SaveCheckpointBinary(store, ckpt.meta, path).ok());
-  ASSERT_TRUE(IsBinaryCheckpoint(path));
 
-  // Load() detects the binary magic and takes the mmap path.
+  // Load() maps the file; the engine's weights are views into the mapping.
   Result<std::shared_ptr<const ImputationEngine>> mapped =
       ImputationEngine::Load(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
